@@ -1,37 +1,53 @@
 // End-to-end simulator throughput (cycles per wall-clock second) for the
-// zero-allocation data path: packet arena, ring-buffer flit queues, and
-// active-set router scheduling.
+// default simulation path -- single-word allocator kernels inside
+// Network::step, packet arena, ring-buffer flit queues, active-set router
+// scheduling -- against the scalar reference path, measured in the same
+// process.
 //
-// Two things are measured per design point:
+// Every design point runs twice from the same seed: once as shipped, and
+// once with Network::set_reference_path(true), which sends every router to
+// the scalar Router::allocate over the allocators' byte-loop oracles. Both
+// runs must end in the same state (flits ejected, router-steps skipped,
+// arena high water); the ratio of their stepping rates is the kernels'
+// speedup on this host. Construction is timed apart and excluded from
+// cycles/s.
 //
-//   1. cycles/s over a full warmup + measurement + drain run, comparable to
-//      the pre-optimization baseline recorded in bench_results/ and in the
-//      README performance table.
-//
-//   2. heap traffic in the steady-state window (after warmup, before drain),
-//      via a global operator new/delete counter. The cycle loop must be
-//      allocation-free at every load: sub-saturation points reach their
-//      high-water capacities during warmup, and saturated points -- where
-//      source backlog grows without bound -- are pre-sized for the whole
-//      measured window via Network::reserve_steady_state (offered load x
-//      window length bounds everything the window can put into play).
+// Gates (exit nonzero on failure):
+//   1. differential: the two runs of every point agree;
+//   2. zero allocation: the default path performs no heap allocation in the
+//      steady-state window (after warmup, before drain), at every load.
+//      Saturated points -- where source backlog grows without bound -- are
+//      pre-sized for the window via Network::reserve_steady_state;
+//   3. speedup floors: every gated point must reach its own floor over the
+//      reference path. Only allocator-bound points are gated -- torus with
+//      C=8 (sep_if), mesh with C=8 (sep_of, matrix arbiters) and mesh with
+//      C=4 (wavefront, speculative and not) -- because there the kernels
+//      beat the scalar Router::allocate fallback by 2x or more, so a floor
+//      can sit clear of both. On a 4-core x86 host the kernels measured
+//      95-179x / 14-19x / 7.4-12x / 8.2-12x (sep_if / sep_of / matrix /
+//      wavefront) against floors of 50x / 10x / 5.5x / 4x, and the same
+//      points forced onto the fallback 22-30x / 5.9-10x / 2.9-4.2x / 0.9-1.1x.
+//      At the C=1 mesh/fbfly loads the scalar mask path alone reads 1.3x-2.6x
+//      over the byte-loop reference against 1.8x-4.5x for the kernels, too
+//      close to gate; those rows are reported only. Separable and wavefront
+//      points are summarised apart, so one family falling back to the
+//      scalar path cannot hide behind the other's number.
 //
 // Honors NOCALLOC_BENCH_FAST=1 (run_benches.sh BENCH_FAST): shorter
-// measurement window, same warmup, zero-allocation assertion still enforced.
+// measurement window, same warmup, all gates still enforced.
 // NOCALLOC_BENCH_JSON names a file to receive a machine-readable summary of
-// the same numbers (run_benches.sh points it at BENCH_sim.json so the perf
-// trajectory across commits is diffable without parsing the table).
+// the same numbers, stamped with host, compiler and build type
+// (run_benches.sh points it at BENCH_sim.json).
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
-#include <memory>
+#include <fstream>
 #include <new>
 #include <string>
+#include <thread>
 
-#include "noc/network.hpp"
-#include "noc/routing.hpp"
 #include "noc/sim.hpp"
 
 // ---- Global allocation counter ---------------------------------------------
@@ -84,89 +100,102 @@ double wall_now() {
          1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
+#if defined(__clang__)
+constexpr const char* kCompiler = __VERSION__;
+#else
+constexpr const char* kCompiler = "gcc " __VERSION__;
+#endif
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        return line.substr(colon + 2);
+      }
+    }
+  }
+  return "unknown";
+}
+
 struct Point {
   TopologyKind topo;
+  std::size_t vcs_per_class;
   double load;
   const char* label;
-  bool saturated;  // beyond saturation throughput (backlog grows unboundedly)
-  // cycles/s of the pre-optimization simulator (shared_ptr packets,
-  // std::deque buffers, every router stepped every cycle) at this design
-  // point, recorded on the reference host with the same phase lengths.
-  // Speedups printed against it are indicative when run elsewhere.
-  double baseline_cycles_per_sec;
+  double min_speedup;  // floor over the reference path; 0 = reported only
+  AllocatorKind alloc = AllocatorKind::kSeparableInputFirst;  // VA and SA
+  ArbiterKind arb = ArbiterKind::kRoundRobin;                 // VA and SA
+  SpecMode spec = SpecMode::kPessimistic;
 };
 
 struct RunOutcome {
-  double cycles_per_sec = 0.0;
+  double construct_s = 0.0;
+  double cycles_per_sec = 0.0;  // stepping only, construction excluded
   std::uint64_t steady_allocs = 0;
   std::uint64_t steps_total = 0;
   std::uint64_t steps_skipped = 0;
+  std::uint64_t flits_ejected = 0;
   std::size_t arena_high_water = 0;
 };
 
-// Builds the network directly (rather than through run_simulation) so the
-// allocation counter can be bracketed around the steady-state window only:
-// construction and warmup are allowed to allocate, the measured cycles are
-// not.
-RunOutcome run_point(const Point& pt, std::size_t warmup, std::size_t measure,
-                     std::size_t drain) {
-  MeshTopology mesh(8);
-  FlattenedButterflyTopology fbfly(4, 4);
-  const Topology& topology =
-      pt.topo == TopologyKind::kMesh8x8 ? static_cast<const Topology&>(mesh)
-                                        : fbfly;
-
-  NetworkConfig cfg;
-  cfg.router.ports = topology.ports();
-  cfg.router.partition = partition_for(pt.topo, 1);
-  cfg.request_rate = pt.load / 6.0;
+// Drives the network directly (rather than through measure_and_drain) so
+// the allocation counter brackets the steady-state window only:
+// construction and warmup may allocate, the measured cycles may not. The
+// drain stops generation and runs until the network is empty.
+RunOutcome run_point(const Point& pt, bool reference, std::size_t warmup,
+                     std::size_t measure, std::size_t drain) {
+  SimConfig cfg;
+  cfg.topology = pt.topo;
+  cfg.vcs_per_class = pt.vcs_per_class;
+  cfg.vc_alloc = pt.alloc;
+  cfg.sw_alloc = pt.alloc;
+  cfg.vc_arb = pt.arb;
+  cfg.sw_arb = pt.arb;
+  cfg.spec = pt.spec;
+  cfg.injection_rate = pt.load;
   cfg.seed = 1;
 
-  Network::RoutingFactory factory =
-      [&](const CongestionOracle& oracle) -> std::unique_ptr<RoutingFunction> {
-    if (pt.topo == TopologyKind::kMesh8x8) {
-      return std::make_unique<DorMeshRouting>(mesh);
-    }
-    return std::make_unique<UgalFbflyRouting>(fbfly, oracle,
-                                              Rng(1 ^ 0xCAFEF00Dull));
-  };
-
-  Network* net_ptr = nullptr;
-  std::uint64_t reply_id = 1ull << 62;
-  Terminal::EjectCallback on_eject = [&](const Packet& pkt, Cycle now) {
-    if (is_request(pkt.type)) {
-      net_ptr->terminal(pkt.dst_terminal)
-          .enqueue_reply(make_reply(pkt, now, reply_id++));
-    }
-  };
-
+  RunOutcome out;
   const double t0 = wall_now();
-  Network net(topology, cfg, factory, on_eject);
-  net_ptr = &net;
+  SimInstance sim(cfg);
+  Network& net = sim.network();
+  net.set_reference_path(reference);
+  const double t1 = wall_now();
+  out.construct_s = t1 - t0;
 
-  for (std::size_t i = 0; i < warmup; ++i) net.step();
+  sim.run_cycles(warmup);
 
   // Saturated points accumulate backlog without bound, so the steady-state
   // containers would otherwise keep doubling; bound them for the window.
-  net.reserve_steady_state(cfg.request_rate, measure + drain);
+  net.reserve_steady_state(pt.load / 6.0, measure + drain);
 
   const std::uint64_t allocs_before =
       g_heap_allocs.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < measure; ++i) net.step();
+  sim.run_cycles(measure);
   const std::uint64_t allocs_after =
       g_heap_allocs.load(std::memory_order_relaxed);
 
   net.set_generation_enabled(false);
   for (std::size_t i = 0; i < drain && net.in_flight() > 0; ++i) net.step();
-  const double dt = wall_now() - t0;
+  const double dt = wall_now() - t1;
 
-  RunOutcome out;
   out.cycles_per_sec = static_cast<double>(net.perf().cycles) / dt;
   out.steady_allocs = allocs_after - allocs_before;
   out.steps_total = net.perf().router_steps_total;
   out.steps_skipped = net.perf().router_steps_skipped;
+  out.flits_ejected = net.flits_ejected();
   out.arena_high_water = net.arena().high_water();
   return out;
+}
+
+bool same_end_state(const RunOutcome& a, const RunOutcome& b) {
+  return a.flits_ejected == b.flits_ejected &&
+         a.steps_total == b.steps_total &&
+         a.steps_skipped == b.steps_skipped &&
+         a.arena_high_water == b.arena_high_water;
 }
 
 int run_all() {
@@ -179,63 +208,127 @@ int run_all() {
   const std::size_t drain = fast ? 500 : 8000;
 
 #ifdef NOCALLOC_BUILD_TYPE
-  std::printf("Build type: %s\n", NOCALLOC_BUILD_TYPE);
-  if (std::strcmp(NOCALLOC_BUILD_TYPE, "Debug") == 0) {
+  const char* build_type = NOCALLOC_BUILD_TYPE;
+#else
+  const char* build_type = "unknown";
+#endif
+  std::printf("Build type: %s\n", build_type);
+  if (std::strcmp(build_type, "Debug") == 0) {
     std::printf("WARNING: Debug build; timings are not comparable\n");
   }
-#endif
-  std::printf("Simulator throughput (warmup %zu + measure %zu + drain %zu)\n",
-              warmup, measure, drain);
   std::printf(
-      "%-18s %12s %12s %8s %14s %10s %8s\n", "point", "cycles/s",
-      "baseline", "speedup", "steady allocs", "skipped", "arena");
+      "Simulator throughput, default (kernel) path vs scalar reference path\n"
+      "(warmup %zu + measure %zu + drain %zu; construction excluded)\n",
+      warmup, measure, drain);
+  std::printf("%-22s %11s %11s %8s %6s %9s %7s %9s %7s %6s\n", "point",
+              "cycles/s", "ref cyc/s", "speedup", "floor", "build ms",
+              "allocs", "skipped", "arena", "equal");
 
+  // The C=1 mesh/fbfly rows sweep the load: allocators idle at low load,
+  // busy at medium and saturated load. The gated rows below them cover
+  // every allocator family with a kernel at an allocator-bound point: torus
+  // with C=8 packs the full 64-VC word (2 message classes x 4 dateline
+  // resource classes x 8); mesh with C=8 gives sep_of and matrix 16 VCs per
+  // port, where their kernels lead the fallback by 2x or more (at C=4 the
+  // lead is 1.7-2x, too narrow for a floor); mesh with C=4 keeps the
+  // reference wavefront's PV x PV array affordable.
+  using AK = AllocatorKind;
+  using TK = TopologyKind;
   const Point points[] = {
-      {TopologyKind::kMesh8x8, 0.02, "mesh/low", false, 27771},
-      {TopologyKind::kMesh8x8, 0.15, "mesh/medium", false, 17541},
-      {TopologyKind::kMesh8x8, 0.90, "mesh/saturation", true, 12067},
-      {TopologyKind::kFbfly4x4, 0.02, "fbfly/low", false, 50020},
-      {TopologyKind::kFbfly4x4, 0.20, "fbfly/medium", false, 27155},
-      {TopologyKind::kFbfly4x4, 0.90, "fbfly/saturation", true, 16650},
+      {TK::kMesh8x8, 1, 0.02, "mesh/low", 0.0},
+      {TK::kMesh8x8, 1, 0.15, "mesh/medium", 0.0},
+      {TK::kMesh8x8, 1, 0.90, "mesh/saturation", 0.0},
+      {TK::kFbfly4x4, 1, 0.02, "fbfly/low", 0.0},
+      {TK::kFbfly4x4, 1, 0.20, "fbfly/medium", 0.0},
+      {TK::kFbfly4x4, 1, 0.90, "fbfly/saturation", 0.0},
+      {TK::kTorus8x8, 8, 0.15, "torus/C=8/sep_if", 50.0},
+      {TK::kMesh8x8, 8, 0.30, "mesh/C=8/sep_of", 10.0,
+       AK::kSeparableOutputFirst},
+      {TK::kMesh8x8, 8, 0.30, "mesh/C=8/matrix", 5.5,
+       AK::kSeparableInputFirst, ArbiterKind::kMatrix},
+      {TK::kMesh8x8, 4, 0.30, "mesh/C=4/wf", 4.0, AK::kWavefront},
+      {TK::kMesh8x8, 4, 0.30, "mesh/C=4/wf/nonspec", 4.0, AK::kWavefront,
+       ArbiterKind::kRoundRobin, SpecMode::kNonSpeculative},
   };
-
-  bool ok = true;
-  std::string json = "{\n  \"bench\": \"microbench_sim\",\n  \"points\": [\n";
   const std::size_t n_points = sizeof(points) / sizeof(points[0]);
+
+  bool zero_alloc = true;
+  bool identical = true;
+  // Lowest speedup / floor ratio over the gated separable (sep_if, sep_of,
+  // matrix arbiters) and wavefront points; below 1 fails.
+  double worst_sep = 0.0;
+  double worst_wf = 0.0;
+  std::string json = "{\n  \"bench\": \"microbench_sim\",\n  \"points\": [\n";
   for (std::size_t i = 0; i < n_points; ++i) {
     const Point& pt = points[i];
-    const RunOutcome out = run_point(pt, warmup, measure, drain);
+    const RunOutcome out = run_point(pt, false, warmup, measure, drain);
+    const RunOutcome ref = run_point(pt, true, warmup, measure, drain);
+    const double speedup = out.cycles_per_sec / ref.cycles_per_sec;
+    const bool equal = same_end_state(out, ref);
     const double skipped_pct =
         out.steps_total == 0
             ? 0.0
             : 100.0 * static_cast<double>(out.steps_skipped) /
                   static_cast<double>(out.steps_total);
-    std::printf("%-18s %12.0f %12.0f %7.2fx %14llu %9.1f%% %8zu\n", pt.label,
-                out.cycles_per_sec, pt.baseline_cycles_per_sec,
-                out.cycles_per_sec / pt.baseline_cycles_per_sec,
-                static_cast<unsigned long long>(out.steady_allocs),
-                skipped_pct, out.arena_high_water);
-    char buf[320];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"label\": \"%s\", \"cycles_per_sec\": %.0f, "
-                  "\"baseline_cycles_per_sec\": %.0f, \"speedup\": %.3f, "
-                  "\"steady_allocs\": %llu, \"steps_skipped_pct\": %.1f}%s\n",
-                  pt.label, out.cycles_per_sec, pt.baseline_cycles_per_sec,
-                  out.cycles_per_sec / pt.baseline_cycles_per_sec,
-                  static_cast<unsigned long long>(out.steady_allocs),
-                  skipped_pct, i + 1 < n_points ? "," : "");
-    json += buf;
+    char floor_col[16] = "-";
+    if (pt.min_speedup > 0.0) {
+      std::snprintf(floor_col, sizeof(floor_col), "%gx", pt.min_speedup);
+    }
+    std::printf(
+        "%-22s %11.0f %11.0f %7.2fx %6s %9.1f %7llu %8.1f%% %7zu %6s\n",
+        pt.label, out.cycles_per_sec, ref.cycles_per_sec, speedup, floor_col,
+        1e3 * out.construct_s,
+        static_cast<unsigned long long>(out.steady_allocs), skipped_pct,
+        out.arena_high_water, equal ? "yes" : "NO");
+
+    if (pt.min_speedup > 0.0) {
+      double& worst = pt.alloc == AK::kWavefront ? worst_wf : worst_sep;
+      const double margin = speedup / pt.min_speedup;
+      if (worst == 0.0 || margin < worst) worst = margin;
+    }
+    if (!equal) {
+      std::printf("DIFFERENTIAL FAIL: %s default and reference runs "
+                  "diverged\n",
+                  pt.label);
+      identical = false;
+    }
     if (out.steady_allocs != 0) {
       std::printf("ZERO-ALLOC FAIL: %s performed %llu heap allocations in "
                   "the steady-state window\n",
                   pt.label,
                   static_cast<unsigned long long>(out.steady_allocs));
-      ok = false;
+      zero_alloc = false;
     }
+
+    char buf[448];
+    std::snprintf(
+        buf, sizeof(buf),
+        "    {\"label\": \"%s\", \"cycles_per_sec\": %.0f, "
+        "\"reference_cycles_per_sec\": %.0f, \"speedup_vs_reference\": %.3f, "
+        "\"min_speedup\": %.1f, \"construct_s\": %.4f, \"steady_allocs\": %llu, "
+        "\"steps_skipped_pct\": %.1f, \"identical\": %s}%s\n",
+        pt.label, out.cycles_per_sec, ref.cycles_per_sec, speedup,
+        pt.min_speedup, out.construct_s, static_cast<unsigned long long>(out.steady_allocs),
+        skipped_pct, equal ? "true" : "false", i + 1 < n_points ? "," : "");
+    json += buf;
   }
-  json += "  ],\n  \"zero_alloc_pass\": ";
-  json += ok ? "true" : "false";
-  json += "\n}\n";
+
+  const bool sep_ok = worst_sep >= 1.0;
+  const bool wf_ok = worst_wf >= 1.0;
+  char tail[768];
+  std::snprintf(
+      tail, sizeof(tail),
+      "  ],\n  \"warmup\": %zu, \"measure\": %zu, \"drain\": %zu,\n"
+      "  \"worst_separable_floor_margin\": %.3f,\n"
+      "  \"worst_wavefront_floor_margin\": %.3f,\n"
+      "  \"zero_alloc_pass\": %s, \"identical\": %s,\n"
+      "  \"host\": {\"nproc\": %u, \"cpu\": \"%s\"},\n"
+      "  \"compiler\": \"%s\", \"build_type\": \"%s\"\n}\n",
+      warmup, measure, drain, worst_sep, worst_wf,
+      zero_alloc ? "true" : "false", identical ? "true" : "false",
+      std::thread::hardware_concurrency(), cpu_model().c_str(), kCompiler,
+      build_type);
+  json += tail;
   const char* path = std::getenv("NOCALLOC_BENCH_JSON");
   if (path != nullptr && path[0] != '\0') {
     if (std::FILE* f = std::fopen(path, "w")) {
@@ -245,10 +338,16 @@ int run_all() {
       std::printf("WARNING: could not write %s\n", path);
     }
   }
-  std::printf(ok ? "zero-allocation check: PASS (all points, saturation "
-                   "included)\n"
-                 : "zero-allocation check: FAIL\n");
-  return ok ? 0 : 1;
+
+  std::printf(zero_alloc ? "zero-allocation check: PASS (all points, "
+                           "saturation included)\n"
+                         : "zero-allocation check: FAIL\n");
+  std::printf("differential check: %s\n", identical ? "PASS" : "FAIL");
+  std::printf("speedup floors: separable worst %.2fx of floor %s, "
+              "wavefront worst %.2fx of floor %s\n",
+              worst_sep, sep_ok ? "PASS" : "FAIL", worst_wf,
+              wf_ok ? "PASS" : "FAIL");
+  return zero_alloc && identical && sep_ok && wf_ok ? 0 : 1;
 }
 
 }  // namespace

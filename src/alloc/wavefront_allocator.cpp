@@ -5,7 +5,11 @@
 namespace nocalloc {
 
 WavefrontAllocator::WavefrontAllocator(std::size_t inputs, std::size_t outputs)
-    : Allocator(inputs, outputs), n_(std::max(inputs, outputs)) {
+    : Allocator(inputs, outputs),
+      n_(std::max(inputs, outputs)),
+      wave_cnt_(n_, 0),
+      wave_off_(n_, 0),
+      wave_occ_(bits::word_count(n_), 0) {
   NOCALLOC_CHECK(n_ > 0);
 }
 
@@ -110,16 +114,18 @@ void WavefrontAllocator::allocate(const BitMatrix& req, BitMatrix& gnt) {
   diagonal_ = (diagonal_ + 1) % n_;
 }
 
+void WavefrontAllocator::reserve_sparse(std::size_t max_cells) {
+  const std::size_t nw = bits::word_count(n_);
+  if (sorted_.size() < max_cells) sorted_.resize(max_cells);
+  row_free_.reserve(nw);
+  col_free_.reserve(nw);
+}
+
 void WavefrontAllocator::allocate_sparse(const SparseCell* cells,
                                          std::size_t m,
                                          std::vector<SparseCell>& granted) {
   const std::size_t n = n_;
   const std::size_t nw = bits::word_count(n);
-  if (wave_cnt_.size() != n) {
-    wave_cnt_.assign(n, 0);
-    wave_off_.assign(n, 0);
-    wave_occ_.assign(nw, 0);
-  }
   if (sorted_.size() < m) sorted_.resize(m);
 
   // Bucket cells by wave: cell (r, c) lies on wrapped diagonal (r + c) % n

@@ -72,6 +72,10 @@ class WavefrontAllocator final : public Allocator {
   void allocate_sparse(const SparseCell* cells, std::size_t m,
                        std::vector<SparseCell>& granted);
 
+  /// Sizes the sparse-path scratch for calls of up to `max_cells` cells, so
+  /// allocate_sparse() performs no heap allocation within that bound.
+  void reserve_sparse(std::size_t max_cells);
+
  private:
   std::size_t n_;  // padded square dimension
   std::size_t diagonal_ = 0;

@@ -99,7 +99,7 @@ void Network::step() {
   // -- the sent item only becomes receivable one cycle later.
   for (std::size_t r = 0; r < nr; ++r) {
     if (router_active_[r]) {
-      routers_[r]->allocate(t);
+      routers_[r]->allocate_fast(t);
     } else {
       ++perf_.router_steps_skipped;
     }
@@ -137,6 +137,10 @@ void Network::step() {
 void Network::attach_invariant_checker(InvariantChecker* checker) {
   checker_ = checker;
   for (auto& r : routers_) r->set_invariant_checker(checker);
+}
+
+void Network::set_reference_path(bool ref) {
+  for (auto& r : routers_) r->set_reference_path(ref);
 }
 
 void Network::set_measuring(bool measuring) {

@@ -60,7 +60,9 @@ class Network final : public CongestionOracle {
   Network(const Topology& topo, const NetworkConfig& cfg,
           RoutingFactory routing_factory, Terminal::EjectCallback on_eject);
 
-  /// Advances one cycle (allocate -> inject -> receive).
+  /// Advances one cycle (allocate -> inject -> receive). The allocation
+  /// stage runs Router::allocate_fast, which takes the single-word kernels
+  /// where they exist and the scalar allocators otherwise.
   void step();
 
   Cycle now() const { return now_; }
@@ -116,6 +118,12 @@ class Network final : public CongestionOracle {
   /// Total flits ejected at all terminals so far.
   std::uint64_t flits_ejected() const;
 
+  /// Puts every router's allocators on their byte-loop reference path (see
+  /// Allocator::set_reference_path), which also sends every router's
+  /// allocation stage to the scalar Router::allocate. Results are
+  /// bit-identical either way; benches time the two paths side by side.
+  void set_reference_path(bool ref);
+
   /// Attaches a protocol checker: every router reports allocation results to
   /// it, and the network calls its after_step() at the end of every step().
   /// Null detaches. The checker must outlive the network (or be detached).
@@ -129,7 +137,6 @@ class Network final : public CongestionOracle {
 
  private:
   friend class InvariantChecker;  // walks wiring records for conservation
-  friend class ReplicaSim;        // replays step()'s phases across lanes
 
   /// One inter-router link with the channels that realise it, kept so the
   /// invariant checker can audit the credit loop end to end.

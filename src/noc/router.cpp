@@ -55,7 +55,7 @@ Router::Router(int id, const RouterConfig& cfg, RoutingFunction& routing,
     spec_alloc_ = std::make_unique<SpeculativeSwitchAllocator>(sa, cfg.spec);
   }
 
-  // Replica fast path: available when every allocator stage reports a
+  // Fast path: available when every allocator stage reports a
   // single-word sparse kernel (separable input-/output-first and wavefront
   // families over round-robin or matrix arbiters).
   fast_ok_ = vcs_ <= bits::kWordBits && cfg_.ports <= bits::kWordBits &&
@@ -315,11 +315,17 @@ void Router::allocate(Cycle now) {
   touched_nonspec_.clear();
 }
 
+void Router::set_reference_path(bool ref) {
+  vc_alloc_->set_reference_path(ref);
+  if (sw_alloc_ != nullptr) sw_alloc_->set_reference_path(ref);
+  if (spec_alloc_ != nullptr) spec_alloc_->set_reference_path(ref);
+}
+
 void Router::allocate_fast(Cycle now) {
   // Configurations without a single-word kernel, checker-attached routers
   // (which must run allocators on empty cycles and report every result), and
   // reference-path oracles all take the scalar path; its results are
-  // bit-identical by contract, so lanes can mix freely.
+  // bit-identical by contract, so the two paths can alternate freely.
   if (!fast_ok_ || checker_ != nullptr || vc_alloc_->reference_path()) {
     allocate(now);
     return;

@@ -98,9 +98,12 @@ class Router {
   void attach_output(int port, Channel<Flit>* flits_out,
                      Channel<Credit>* credits_in, int downstream_router);
 
+  /// The scalar allocation stage: builds request vectors and calls the
+  /// allocators' virtual allocate(). It is the fallback of allocate_fast()
+  /// and the oracle the kernels are tested against.
   void allocate(Cycle now);
 
-  /// Devirtualized allocate() for the replica engine: the same stage
+  /// Devirtualized allocate(), the one Network::step() calls: the same stage
   /// sequence, stats, and priority-state evolution, but the VC-request
   /// build, VA, SA, and speculation masks run as single-word sparse kernels
   /// against the allocators' own priority state (separable input-/output-
@@ -112,7 +115,14 @@ class Router {
 
   /// True when allocate_fast() takes its devirtualized path rather than
   /// falling back (exposed for tests and benches).
-  bool fast_path_active() const { return fast_ok_ && checker_ == nullptr; }
+  bool fast_path_active() const {
+    return fast_ok_ && checker_ == nullptr && !vc_alloc_->reference_path();
+  }
+
+  /// Puts every allocator of this router on its byte-loop reference path
+  /// (see Allocator::set_reference_path); allocate_fast() then falls back to
+  /// allocate().
+  void set_reference_path(bool ref);
 
   void receive(Cycle now);
 
@@ -224,7 +234,7 @@ class Router {
   bits::Word rx_flit_pending_ = 0;
   bits::Word rx_credit_pending_ = 0;
 
-  // Replica fast path: single-word request scratch (per-port VC masks and
+  // Fast path: single-word request scratch (per-port VC masks and
   // the per-input-VC requested output port). The kernels themselves are the
   // allocators' own allocate_fast overrides, gated by fast_ready().
   bool fast_ok_ = false;

@@ -129,7 +129,7 @@ void SimInstance::set_injection_rate(double rate) {
   net_->set_request_rate(rate / 6.0);
 }
 
-std::uint64_t SimInstance::measure_begin() {
+SimResult SimInstance::measure_and_drain() {
   packet_latency_.reset();
   network_latency_.reset();
   latency_hist_.reset();
@@ -138,29 +138,16 @@ std::uint64_t SimInstance::measure_begin() {
   // accepted throughput is the flit injection rate the terminals sustain.
   net_->set_measuring(true);
   measuring_ = true;
-  return net_->flits_injected();
-}
-
-std::uint64_t SimInstance::measure_end() {
+  const std::uint64_t flits_before = net_->flits_injected();
+  run_cycles(cfg_.measure_cycles);
   const std::uint64_t flits_after = net_->flits_injected();
   net_->set_measuring(false);
   measuring_ = false;
-  return flits_after;
-}
-
-SimResult SimInstance::measure_and_drain() {
-  const std::uint64_t flits_before = measure_begin();
-  run_cycles(cfg_.measure_cycles);
-  const std::uint64_t flits_after = measure_end();
 
   // Drain: unmeasured traffic keeps flowing so measured packets finish
   // under steady-state conditions.
   run_cycles(cfg_.drain_cycles);
-  return collect_result(flits_before, flits_after);
-}
 
-SimResult SimInstance::collect_result(std::uint64_t flits_before,
-                                      std::uint64_t flits_after) {
   // Every drained packet must have returned its arena slot; a leak here
   // would eventually exhaust the arena in long sweeps.
   if (net_->in_flight() == 0) NOCALLOC_DCHECK(net_->arena().live() == 0);

@@ -156,19 +156,6 @@ class SimInstance {
   void restore(const SimSnapshot& snap);
 
  private:
-  friend class ReplicaSim;  // drives the phases below in lock-step
-
-  /// measure_and_drain() split into its non-stepping pieces so the replica
-  /// engine can interleave lane stepping: begin (reset accumulators, start
-  /// measuring, returns flits injected so far), end (returns the counter
-  /// again, stops measuring), collect (assembles the SimResult after the
-  /// drain). measure_and_drain() == begin + measure cycles + end + drain
-  /// cycles + collect, so results are bit-identical by construction.
-  std::uint64_t measure_begin();
-  std::uint64_t measure_end();
-  SimResult collect_result(std::uint64_t flits_before,
-                           std::uint64_t flits_after);
-
   SimConfig cfg_;
   std::unique_ptr<Topology> topo_;
   InvariantChecker checker_;

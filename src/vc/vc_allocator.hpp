@@ -29,7 +29,7 @@ struct VcRequest {
   ReqVector vc_mask;    // V-wide candidate mask over out_port's VCs
 };
 
-/// One waiting head's request on the replica engine's sparse fast path:
+/// One waiting head's request on the router's sparse fast path:
 /// input VC index, destination port, and the candidate mask packed into a
 /// single word (V <= 64). A zero mask is a valid entry (all candidate VCs
 /// taken) and grants nothing, exactly like a valid VcRequest with an empty

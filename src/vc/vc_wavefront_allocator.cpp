@@ -18,6 +18,19 @@ VcWavefrontAllocator::VcWavefrontAllocator(std::size_t ports,
     cores_.push_back(std::make_unique<WavefrontAllocator>(total(), total()));
   }
   fast_cells_.resize(cores_.size());
+  if (fast_ready()) {
+    // A router's request names at most one VC class (vcs_per_class
+    // candidates) per waiting input VC, so this bounds a core's cells per
+    // call and keeps the router's kernel path allocation-free. Wider
+    // requests stay correct; the scratch just grows.
+    const std::size_t rows = cores_.front()->inputs();
+    const std::size_t max_cells = rows * partition_.vcs_per_class();
+    for (std::size_t m = 0; m < cores_.size(); ++m) {
+      fast_cells_[m].reserve(max_cells);
+      cores_[m]->reserve_sparse(max_cells);
+    }
+    fast_granted_.reserve(rows);
+  }
 }
 
 void VcWavefrontAllocator::allocate_fast(const FastVcRequest* req,

@@ -189,13 +189,13 @@ TEST_F(SweepCacheTest, BatchColdWarmDisabledIdentity) {
     expect_identical(hot[i], plain[i]);
   }
 
-  // The replicated engine shares the same cache entries and stays
-  // identical too (it would hit everything the scalar path stored).
-  const std::vector<noc::SimResult> replicated =
-      run_sim_batch_replicated(pool, cfgs);
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    expect_identical(replicated[i], plain[i]);
-  }
+  // Entries are keyed by config, not by batch position: a reordered
+  // subset is served entirely from the same entries and stays identical.
+  const std::vector<noc::SimConfig> subset = {cfgs[3], cfgs[1]};
+  const std::vector<noc::SimResult> reordered = run_sim_batch(pool, subset);
+  EXPECT_EQ(entries().size(), after_cold.size());
+  expect_identical(reordered[0], plain[3]);
+  expect_identical(reordered[1], plain[1]);
 }
 
 // Full warm-fork curves: cold, warm, and disabled runs agree point for
@@ -236,10 +236,11 @@ TEST_F(SweepCacheTest, CurveColdWarmDisabledIdentity) {
     }
   }
 
-  // The replicated curve engine serves from the same entries.
-  const std::vector<Curve> rep = run_warm_curves_replicated(pool, {spec});
+  // The sharded curve run on its own serves from the same entries.
+  const std::vector<Curve> alone = run_warm_curves(pool, {spec});
+  EXPECT_EQ(entries().size(), files_after_cold);
   for (std::size_t p = 0; p < plain[0].points.size(); ++p) {
-    expect_identical(rep[0].points[p].result, plain[0].points[p].result);
+    expect_identical(alone[0].points[p].result, plain[0].points[p].result);
   }
 }
 

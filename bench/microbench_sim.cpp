@@ -31,13 +31,20 @@
 //      over the byte-loop reference against 1.8x-4.5x for the kernels, too
 //      close to gate; those rows are reported only. Separable and wavefront
 //      points are summarised apart, so one family falling back to the
-//      scalar path cannot hide behind the other's number.
+//      scalar path cannot hide behind the other's number;
+//   4. construction: building the torus/C=8/sep_if network with matrix
+//      arbiters may take at most kMaxMatrixBuildRatio times as long as with
+//      round-robin arbiters (median of several builds each, interleaved).
+//      The matrix arbiter's recency-order model resets in O(n), like the
+//      round-robin pointer; an O(n^2) priority-matrix reset over the
+//      network's ~144k arbiters reads ~40x on the same host.
 //
 // Honors NOCALLOC_BENCH_FAST=1 (run_benches.sh BENCH_FAST): shorter
 // measurement window, same warmup, all gates still enforced.
 // NOCALLOC_BENCH_JSON names a file to receive a machine-readable summary of
 // the same numbers, stamped with host, compiler and build type
 // (run_benches.sh points it at BENCH_sim.json).
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -47,6 +54,8 @@
 #include <new>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "noc/sim.hpp"
 
@@ -131,6 +140,12 @@ struct Point {
   SpecMode spec = SpecMode::kPessimistic;
 };
 
+// Gate 4's bound on matrix / round-robin construction time. Measured on a
+// 4-core x86 host: 2.0-2.4x with the recency-order model (one rank array
+// allocated per arbiter), 42x with packed priority-matrix rows and their
+// O(n^2) reset.
+constexpr double kMaxMatrixBuildRatio = 4.0;
+
 struct RunOutcome {
   double construct_s = 0.0;
   double cycles_per_sec = 0.0;  // stepping only, construction excluded
@@ -189,6 +204,29 @@ RunOutcome run_point(const Point& pt, bool reference, std::size_t warmup,
   out.flits_ejected = net.flits_ejected();
   out.arena_high_water = net.arena().high_water();
   return out;
+}
+
+// Median wall time of constructing the torus/C=8/sep_if network with round-
+// robin (first) and matrix (second) arbiters, builds interleaved so drift
+// in host speed hits both alike.
+std::pair<double, double> median_build_s(int builds) {
+  std::vector<double> rr, mx;
+  for (int b = 0; b < builds; ++b) {
+    for (const ArbiterKind arb :
+         {ArbiterKind::kRoundRobin, ArbiterKind::kMatrix}) {
+      SimConfig cfg;
+      cfg.topology = TopologyKind::kTorus8x8;
+      cfg.vcs_per_class = 8;
+      cfg.vc_arb = arb;
+      cfg.sw_arb = arb;
+      const double t0 = wall_now();
+      const SimInstance sim(cfg);
+      (arb == ArbiterKind::kMatrix ? mx : rr).push_back(wall_now() - t0);
+    }
+  }
+  std::sort(rr.begin(), rr.end());
+  std::sort(mx.begin(), mx.end());
+  return {rr[rr.size() / 2], mx[mx.size() / 2]};
 }
 
 bool same_end_state(const RunOutcome& a, const RunOutcome& b) {
@@ -315,16 +353,25 @@ int run_all() {
 
   const bool sep_ok = worst_sep >= 1.0;
   const bool wf_ok = worst_wf >= 1.0;
-  char tail[768];
+
+  const int builds = 5;
+  const auto [rr_build_s, mx_build_s] = median_build_s(builds);
+  const double build_ratio = mx_build_s / rr_build_s;
+  const bool build_ok = build_ratio <= kMaxMatrixBuildRatio;
+
+  char tail[1024];
   std::snprintf(
       tail, sizeof(tail),
       "  ],\n  \"warmup\": %zu, \"measure\": %zu, \"drain\": %zu,\n"
       "  \"worst_separable_floor_margin\": %.3f,\n"
       "  \"worst_wavefront_floor_margin\": %.3f,\n"
+      "  \"torus_c8_build_ms\": {\"rr\": %.2f, \"matrix\": %.2f, "
+      "\"ratio\": %.3f, \"max_ratio\": %.1f},\n"
       "  \"zero_alloc_pass\": %s, \"identical\": %s,\n"
       "  \"host\": {\"nproc\": %u, \"cpu\": \"%s\"},\n"
       "  \"compiler\": \"%s\", \"build_type\": \"%s\"\n}\n",
-      warmup, measure, drain, worst_sep, worst_wf,
+      warmup, measure, drain, worst_sep, worst_wf, 1e3 * rr_build_s,
+      1e3 * mx_build_s, build_ratio, kMaxMatrixBuildRatio,
       zero_alloc ? "true" : "false", identical ? "true" : "false",
       std::thread::hardware_concurrency(), cpu_model().c_str(), kCompiler,
       build_type);
@@ -347,7 +394,11 @@ int run_all() {
               "wavefront worst %.2fx of floor %s\n",
               worst_sep, sep_ok ? "PASS" : "FAIL", worst_wf,
               wf_ok ? "PASS" : "FAIL");
-  return zero_alloc && identical && sep_ok && wf_ok ? 0 : 1;
+  std::printf("construction gate: torus/C=8/sep_if matrix %.1f ms vs rr "
+              "%.1f ms (median of %d), ratio %.2fx, max %.1fx %s\n",
+              1e3 * mx_build_s, 1e3 * rr_build_s, builds, build_ratio,
+              kMaxMatrixBuildRatio, build_ok ? "PASS" : "FAIL");
+  return zero_alloc && identical && sep_ok && wf_ok && build_ok ? 0 : 1;
 }
 
 }  // namespace

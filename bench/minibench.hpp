@@ -64,6 +64,10 @@ inline std::string human_rate(double v) {
 class State;
 
 namespace detail {
+// What `for (auto _ : state)` binds; the attribute keeps -Wunused-variable
+// quiet about the loop variable, as Google Benchmark's State::Value does.
+struct [[maybe_unused]] IterationValue {};
+
 struct StateIterator {
   State* state;
   std::size_t left;
@@ -73,7 +77,7 @@ struct StateIterator {
     --left;
     return *this;
   }
-  int operator*() const { return 0; }
+  IterationValue operator*() const { return {}; }
 };
 }  // namespace detail
 

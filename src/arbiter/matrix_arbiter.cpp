@@ -4,88 +4,48 @@
 
 namespace nocalloc {
 
-MatrixArbiter::MatrixArbiter(std::size_t size)
-    : size_(size), wpr_(bits::word_count(size)) {
-  NOCALLOC_CHECK(size > 0);
+MatrixArbiter::MatrixArbiter(std::size_t size) : rank_(size) {
+  NOCALLOC_CHECK(size > 0 && size <= kNoRank);
   reset();
 }
 
 void MatrixArbiter::reset() {
   // Initial total order: lower index beats higher index.
-  prio_.assign(size_ * wpr_, 0);
-  for (std::size_t i = 0; i < size_; ++i) {
-    for (std::size_t j = i + 1; j < size_; ++j) {
-      prio_[i * wpr_ + bits::word_of(j)] |= bits::bit(j);
-    }
+  for (std::size_t i = 0; i < rank_.size(); ++i) {
+    rank_[i] = static_cast<Rank>(i);
   }
-}
-
-bool MatrixArbiter::has_priority(std::size_t i, std::size_t j) const {
-  NOCALLOC_CHECK(i < size_ && j < size_ && i != j);
-  return (prio_row(i)[bits::word_of(j)] & bits::bit(j)) != 0;
 }
 
 int MatrixArbiter::pick(const ReqVector& req) const {
-  NOCALLOC_CHECK(req.size() == size_);
-  for (std::size_t i = 0; i < size_; ++i) {
-    if (!req[i]) continue;
-    bool wins = true;
-    for (std::size_t j = 0; j < size_; ++j) {
-      if (j == i || !req[j]) continue;
-      if (!has_priority(i, j)) {
-        wins = false;
-        break;
-      }
-    }
-    if (wins) return static_cast<int>(i);
-  }
-  // The priority relation always contains a total order restricted to any
-  // requesting subset, so a winner exists whenever any request does.
-  return -1;
-}
-
-int MatrixArbiter::pick_words(const bits::Word* req) const {
-  // Candidate i wins iff no other requester has priority over it:
-  // (req & ~prio_row(i)) must contain no bit besides i itself.
+  NOCALLOC_CHECK(req.size() == rank_.size());
   int winner = -1;
-  for (std::size_t w = 0; w < wpr_ && winner < 0; ++w) {
-    bits::Word cur = req[w];
-    while (cur != 0) {
-      const std::size_t i =
-          w * bits::kWordBits +
-          static_cast<std::size_t>(std::countr_zero(cur));
-      cur &= cur - 1;
-      const bits::Word* pr = prio_row(i);
-      bool wins = true;
-      for (std::size_t v = 0; v < wpr_; ++v) {
-        bits::Word losers = req[v] & ~pr[v];
-        if (v == bits::word_of(i)) losers &= ~bits::bit(i);
-        if (losers != 0) {
-          wins = false;
-          break;
-        }
-      }
-      if (wins) {
-        winner = static_cast<int>(i);
-        break;
-      }
+  std::uint32_t best = kNoRank;
+  for (std::size_t i = 0; i < rank_.size(); ++i) {
+    if (req[i] && rank_[i] < best) {
+      best = rank_[i];
+      winner = static_cast<int>(i);
     }
   }
   return winner;
 }
 
+int MatrixArbiter::pick_words(const bits::Word* req) const {
+  int winner = -1;
+  std::uint32_t best = kNoRank;
+  for (std::size_t w = 0; w < bits::word_count(rank_.size()); ++w) {
+    scan_word(req[w], w * bits::kWordBits, winner, best);
+  }
+  return winner;
+}
+
 void MatrixArbiter::update(int winner) {
-  NOCALLOC_CHECK(winner >= 0 && static_cast<std::size_t>(winner) < size_);
-  const std::size_t w = static_cast<std::size_t>(winner);
-  const std::size_t ww = bits::word_of(w);
-  const bits::Word wb = bits::bit(w);
-  for (std::size_t j = 0; j < size_; ++j) {
-    if (j == w) continue;
-    prio_[j * wpr_ + ww] |= wb;  // everyone gains priority over winner
-  }
-  for (std::size_t v = 0; v < wpr_; ++v) {
-    prio_[w * wpr_ + v] = 0;  // winner loses priority over everyone
-  }
+  NOCALLOC_CHECK(winner >= 0 &&
+                 static_cast<std::size_t>(winner) < rank_.size());
+  // Everyone behind the winner moves up one place; the winner goes last.
+  const Rank served = rank_[static_cast<std::size_t>(winner)];
+  for (Rank& k : rank_) k = static_cast<Rank>(k - (k > served ? 1 : 0));
+  rank_[static_cast<std::size_t>(winner)] =
+      static_cast<Rank>(rank_.size() - 1);
 }
 
 }  // namespace nocalloc

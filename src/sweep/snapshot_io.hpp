@@ -29,8 +29,9 @@ namespace nocalloc::sweep {
 inline constexpr std::uint32_t kSnapshotMagic = 0x504E534Eu;
 /// Bump on ANY change to the header or payload encoding (including the
 /// field order of the canonical stream's codecs); old files then reject
-/// cleanly instead of misinterpreting bytes.
-inline constexpr std::uint16_t kSnapshotFormatVersion = 1;
+/// cleanly instead of misinterpreting bytes. v2: matrix arbiters store one
+/// recency rank per input instead of packed priority-matrix rows.
+inline constexpr std::uint16_t kSnapshotFormatVersion = 2;
 /// Value of the header's endianness marker on (the only supported)
 /// little-endian hosts.
 inline constexpr std::uint8_t kSnapshotLittleEndian = 1;

@@ -12,10 +12,14 @@
 namespace nocalloc::noc {
 namespace {
 
-SimConfig small_config(TopologyKind topo, bool check) {
+SimConfig small_config(TopologyKind topo, bool check,
+                       std::size_t vcs_per_class = 2,
+                       ArbiterKind arb = ArbiterKind::kRoundRobin) {
   SimConfig cfg;
   cfg.topology = topo;
-  cfg.vcs_per_class = 2;
+  cfg.vcs_per_class = vcs_per_class;
+  cfg.vc_arb = arb;
+  cfg.sw_arb = arb;
   cfg.injection_rate = 0.12;
   cfg.warmup_cycles = 300;
   cfg.measure_cycles = 500;
@@ -44,15 +48,25 @@ void expect_identical(const SimResult& got, const SimResult& want) {
   EXPECT_EQ(got.arena_high_water, want.arena_high_water);
 }
 
-class SnapshotRestoreTest
-    : public ::testing::TestWithParam<std::tuple<TopologyKind, bool>> {};
+struct RestoreParam {
+  TopologyKind topo;
+  bool check;
+  std::size_t vcs_per_class = 2;
+  ArbiterKind arb = ArbiterKind::kRoundRobin;
+
+  SimConfig config() const {
+    return small_config(topo, check, vcs_per_class, arb);
+  }
+};
+
+class SnapshotRestoreTest : public ::testing::TestWithParam<RestoreParam> {};
 
 // Restoring a snapshot into a FRESH instance must reproduce the
 // uninterrupted run exactly: warmup+measure in one instance equals
 // warmup+snapshot in one instance, restore+measure in another.
 TEST_P(SnapshotRestoreTest, FreshInstanceRestoreMatchesUninterrupted) {
-  const auto [topo, check] = GetParam();
-  const SimConfig cfg = small_config(topo, check);
+  const bool check = GetParam().check;
+  const SimConfig cfg = GetParam().config();
 
   SimInstance uninterrupted(cfg);
   if (check) uninterrupted.checker().throw_on_violation();
@@ -84,8 +98,8 @@ TEST_P(SnapshotRestoreTest, FreshInstanceRestoreMatchesUninterrupted) {
 // uninterrupted run: restore rewinds every piece of mutable state, and
 // larger-than-snapshot storage capacities are unobservable.
 TEST_P(SnapshotRestoreTest, DirtyInstanceRestoreMatchesUninterrupted) {
-  const auto [topo, check] = GetParam();
-  const SimConfig cfg = small_config(topo, check);
+  const bool check = GetParam().check;
+  const SimConfig cfg = GetParam().config();
 
   SimInstance uninterrupted(cfg);
   if (check) uninterrupted.checker().throw_on_violation();
@@ -124,8 +138,7 @@ TEST_P(SnapshotRestoreTest, DirtyInstanceRestoreMatchesUninterrupted) {
 // Snapshots are values: two restores from the same snapshot produce the
 // same result twice (the first fork does not consume or corrupt it).
 TEST_P(SnapshotRestoreTest, SnapshotIsReusableAcrossForks) {
-  const auto [topo, check] = GetParam();
-  const SimConfig cfg = small_config(topo, check);
+  const SimConfig cfg = GetParam().config();
 
   SimInstance warm(cfg);
   warm.warmup();
@@ -143,14 +156,24 @@ TEST_P(SnapshotRestoreTest, SnapshotIsReusableAcrossForks) {
   expect_identical(a, b);
 }
 
+// The matrix rows put least-recently-served arbiter state (VC and switch
+// allocators alike) through the snapshot.
 INSTANTIATE_TEST_SUITE_P(
     Topologies, SnapshotRestoreTest,
-    ::testing::Combine(::testing::Values(TopologyKind::kMesh8x8,
-                                         TopologyKind::kFbfly4x4),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<SnapshotRestoreTest::ParamType>& info) {
-      return to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "_checked" : "_unchecked");
+    ::testing::Values(
+        RestoreParam{TopologyKind::kMesh8x8, false},
+        RestoreParam{TopologyKind::kMesh8x8, true},
+        RestoreParam{TopologyKind::kFbfly4x4, false},
+        RestoreParam{TopologyKind::kFbfly4x4, true},
+        RestoreParam{TopologyKind::kMesh8x8, false, 4, ArbiterKind::kMatrix},
+        RestoreParam{TopologyKind::kMesh8x8, true, 4, ArbiterKind::kMatrix}),
+    [](const ::testing::TestParamInfo<RestoreParam>& info) {
+      const RestoreParam& p = info.param;
+      std::string name = to_string(p.topo);
+      if (p.arb != ArbiterKind::kRoundRobin) {
+        name += "_c" + std::to_string(p.vcs_per_class) + "_" + to_string(p.arb);
+      }
+      return name + (p.check ? "_checked" : "_unchecked");
     });
 
 // Forks at different rates from one warm snapshot diverge (the rate knob

@@ -247,6 +247,16 @@ TEST_F(SnapshotIoTest, RejectsMalformedFiles) {
     ASSERT_FALSE(s);
     EXPECT_NE(s.error.find("version"), std::string::npos) << s.error;
   }
+  {  // Version-1 file: matrix arbiter state was packed priority rows.
+    std::vector<std::uint8_t> t = bytes;
+    t[4] = 1;
+    t[5] = 0;
+    spit(path("v1.nsnp"), t);
+    const IoStatus s = read_snapshot_file(path("v1.nsnp"), cfg, out);
+    ASSERT_FALSE(s);
+    EXPECT_NE(s.error.find("version mismatch: file has v1"), std::string::npos)
+        << s.error;
+  }
   {  // Config mismatch: same file, different expected config.
     noc::SimConfig other = cfg;
     other.seed += 1;

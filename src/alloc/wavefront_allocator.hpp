@@ -44,12 +44,6 @@ class WavefrontAllocator final : public Allocator {
   static void allocate_from_diagonal(const BitMatrix& req, std::size_t start,
                                      BitMatrix& gnt);
 
-  /// Word-parallel equivalent: free rows and columns are tracked as packed
-  /// masks and each wave only touches rows still free. Produces exactly the
-  /// matching of allocate_from_diagonal.
-  static void allocate_from_diagonal_mask(const BitMatrix& req,
-                                          std::size_t start, BitMatrix& gnt);
-
   /// One requested (row, column) cell on the sparse fast path.
   struct SparseCell {
     std::uint32_t row = 0;

@@ -1,5 +1,7 @@
 #include "quality/quality.hpp"
 
+#include <algorithm>
+
 #include "alloc/max_size_allocator.hpp"
 #include "common/bit_matrix.hpp"
 #include "common/check.hpp"
@@ -7,6 +9,7 @@
 namespace nocalloc::quality {
 
 using nocalloc::BitMatrix;
+using nocalloc::FastVcRequest;
 using nocalloc::MaxSizeAllocator;
 using nocalloc::Rng;
 using nocalloc::SwitchAllocator;
@@ -22,48 +25,74 @@ QualityResult measure_vc_quality(VcAllocator& alloc,
   const std::size_t ports = alloc.ports();
   const std::size_t vcs = alloc.vcs();
   const std::size_t total = ports * vcs;
+  const std::size_t span = partition.vcs_per_class();
   NOCALLOC_CHECK(vcs == partition.total_vcs());
+
+  // The requesting input VC's own class determines the legal target classes;
+  // a request picks one legal successor uniformly (mirrors a routing
+  // function having fixed one class for the next hop).
+  std::vector<std::size_t> msg_class(vcs);
+  std::vector<std::vector<std::size_t>> succ(vcs);
+  for (std::size_t vc = 0; vc < vcs; ++vc) {
+    msg_class[vc] = partition.message_class_of(vc);
+    succ[vc] = partition.successors(partition.resource_class_of(vc));
+    NOCALLOC_CHECK(!succ[vc].empty());
+  }
+
+  // Same predicate as the router: the single-word kernel when the allocator
+  // has one, the allocate() call otherwise (max-size, P or V > 64, the
+  // reference path). Both make identical grants.
+  const bool kernel = alloc.fast_ready() && !alloc.reference_path();
 
   QualityResult result;
   result.rate = rate;
 
-  std::vector<VcRequest> req(total);
-  std::vector<int> grant;
+  std::vector<FastVcRequest> fast_req(kernel ? total : 0);
+  std::vector<VcRequest> req(kernel ? 0 : total);
+  std::vector<int> grant(kernel ? total : 0, -1);
   BitMatrix full;
 
   for (std::size_t t = 0; t < trials; ++t) {
+    full.resize(total, total);
+    std::size_t n = 0;
     for (std::size_t i = 0; i < total; ++i) {
-      VcRequest& r = req[i];
-      r.valid = rng.next_bool(rate);
-      if (!r.valid) continue;
-      r.out_port = static_cast<int>(rng.next_below(ports));
-      // The requesting input VC's own class determines the legal target
-      // classes; pick one legal successor uniformly (mirrors a routing
-      // function having fixed one class for the next hop).
+      const bool valid = rng.next_bool(rate);
+      if (!kernel) req[i].valid = valid;
+      if (!valid) continue;
+      const std::size_t out_port = rng.next_below(ports);
       const std::size_t vc = i % vcs;
-      const std::size_t m = partition.message_class_of(vc);
-      const auto succ = partition.successors(partition.resource_class_of(vc));
-      NOCALLOC_CHECK(!succ.empty());
-      const std::size_t r2 = succ[rng.next_below(succ.size())];
-      r.vc_mask.assign(vcs, 0);
-      const std::size_t base = partition.class_base(m, r2);
-      for (std::size_t c = 0; c < partition.vcs_per_class(); ++c) {
-        r.vc_mask[base + c] = 1;
+      const std::vector<std::size_t>& s = succ[vc];
+      const std::size_t base =
+          partition.class_base(msg_class[vc], s[rng.next_below(s.size())]);
+      // The request names all C VCs [base, base + C) of that class at
+      // out_port; the maximum-size reference sees the identical row.
+      for (std::size_t c = 0; c < span; ++c) {
+        full.set(i, out_port * vcs + base + c);
+      }
+      if (kernel) {
+        fast_req[n++] = {static_cast<std::uint32_t>(i),
+                         static_cast<std::uint32_t>(out_port),
+                         bits::low_mask(span) << base};
+      } else {
+        VcRequest& r = req[i];
+        r.out_port = static_cast<int>(out_port);
+        r.vc_mask.assign(vcs, 0);
+        for (std::size_t c = 0; c < span; ++c) r.vc_mask[base + c] = 1;
       }
     }
 
-    alloc.allocate(req, grant);
-    for (int g : grant) {
-      if (g >= 0) ++result.grants;
-    }
-
-    // Maximum-size reference on the identical request matrix.
-    full.resize(total, total);
-    for (std::size_t i = 0; i < total; ++i) {
-      if (!req[i].valid) continue;
-      const std::size_t base = static_cast<std::size_t>(req[i].out_port) * vcs;
-      for (std::size_t w = 0; w < vcs; ++w) {
-        if (req[i].vc_mask[w]) full.set(i, base + w);
+    if (kernel) {
+      alloc.allocate_fast(fast_req.data(), n, grant);
+      for (std::size_t k = 0; k < n; ++k) {
+        int& g = grant[fast_req[k].input];
+        if (g < 0) continue;
+        ++result.grants;
+        g = -1;  // restore the kernel's all -1 contract for the next trial
+      }
+    } else {
+      alloc.allocate(req, grant);
+      for (int g : grant) {
+        if (g >= 0) ++result.grants;
       }
     }
     result.max_grants += MaxSizeAllocator::max_matching_size(full);
@@ -77,33 +106,42 @@ QualityResult measure_sa_quality(SwitchAllocator& alloc, double rate,
   const std::size_t vcs = alloc.vcs();
   const std::size_t total = ports * vcs;
 
+  // Same kernel predicate as measure_vc_quality.
+  const bool kernel = alloc.fast_ready() && !alloc.reference_path();
+
   QualityResult result;
   result.rate = rate;
 
-  std::vector<SwitchRequest> req(total);
+  std::vector<bits::Word> vc_words(kernel ? ports : 0);
+  std::vector<std::uint8_t> out_ports(kernel ? total : 0);
+  std::vector<SwitchRequest> req(kernel ? 0 : total);
   std::vector<SwitchGrant> grant;
   BitMatrix port_req;
 
   for (std::size_t t = 0; t < trials; ++t) {
-    for (std::size_t i = 0; i < total; ++i) {
-      req[i].valid = rng.next_bool(rate);
-      req[i].out_port =
-          req[i].valid ? static_cast<int>(rng.next_below(ports)) : -1;
-    }
-
-    alloc.allocate(req, grant);
-    for (const SwitchGrant& g : grant) {
-      if (g.granted()) ++result.grants;
-    }
-
-    // Maximum matching over the P x P union request matrix: the bound any
+    // Maximum matching over the P x P union request matrix is the bound any
     // switch allocator (one grant per input port) can reach.
     port_req.resize(ports, ports);
-    for (std::size_t p = 0; p < ports; ++p) {
-      for (std::size_t v = 0; v < vcs; ++v) {
-        const SwitchRequest& r = req[p * vcs + v];
-        if (r.valid) port_req.set(p, static_cast<std::size_t>(r.out_port));
+    for (std::size_t i = 0; i < total; ++i) {
+      const bool valid = rng.next_bool(rate);
+      const int out_port = valid ? static_cast<int>(rng.next_below(ports)) : -1;
+      if (!kernel) {
+        req[i] = {valid, out_port};
+      } else if (valid) {
+        vc_words[i / vcs] |= bits::bit(i % vcs);
+        out_ports[i] = static_cast<std::uint8_t>(out_port);
       }
+      if (valid) port_req.set(i / vcs, static_cast<std::size_t>(out_port));
+    }
+
+    if (kernel) {
+      alloc.allocate_fast(vc_words.data(), out_ports.data(), grant);
+      std::fill(vc_words.begin(), vc_words.end(), bits::Word{0});
+    } else {
+      alloc.allocate(req, grant);
+    }
+    for (const SwitchGrant& g : grant) {
+      if (g.granted()) ++result.grants;
     }
     result.max_grants += MaxSizeAllocator::max_matching_size(port_req);
   }

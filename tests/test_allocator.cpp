@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <thread>
+#include <vector>
+
 #include "alloc/incremental_max_allocator.hpp"
 #include "alloc/max_size_allocator.hpp"
 #include "alloc/multi_iteration_allocator.hpp"
@@ -107,6 +111,93 @@ TEST(MaxSizeAllocator, GrantMatrixIsValidMatching) {
     EXPECT_TRUE(gnt.is_matching());
     EXPECT_TRUE(gnt.is_subset_of(req));
     EXPECT_EQ(gnt.count(), MaxSizeAllocator::max_matching_size(req));
+  }
+}
+
+// Maximum matching size by one augmenting-path search per row (Kuhn): an
+// oracle independent of Hopcroft-Karp's phase structure.
+std::size_t kuhn_matching_size(const BitMatrix& req) {
+  std::vector<int> col_match(req.cols(), -1);
+  std::vector<std::uint8_t> seen;
+  struct Augment {
+    const BitMatrix& req;
+    std::vector<int>& col_match;
+    std::vector<std::uint8_t>& seen;
+    bool operator()(std::size_t r) {
+      for (std::size_t c = 0; c < req.cols(); ++c) {
+        if (!req.get(r, c) || seen[c]) continue;
+        seen[c] = 1;
+        if (col_match[c] < 0 ||
+            (*this)(static_cast<std::size_t>(col_match[c]))) {
+          col_match[c] = static_cast<int>(r);
+          return true;
+        }
+      }
+      return false;
+    }
+  } augment{req, col_match, seen};
+  std::size_t size = 0;
+  for (std::size_t r = 0; r < req.rows(); ++r) {
+    seen.assign(req.cols(), 0);
+    if (augment(r)) ++size;
+  }
+  return size;
+}
+
+TEST(MaxSizeAllocator, MatchesReferenceConstructionOnRandomShapes) {
+  // The packed-row adjacency build must give exactly the byte-scan build's
+  // matching, at square and rectangular shapes on both sides of the
+  // one-word boundary and at the VC quality reference's 160x160.
+  Rng rng(0x4B);
+  for (std::size_t n : {1u, 5u, 10u, 40u, 63u, 64u, 65u, 160u}) {
+    for (std::size_t cols : {n, n / 3 + 1, n + 7}) {
+      for (double density : {0.025, 0.1, 0.3, 0.6, 0.9}) {
+        const BitMatrix req = random_requests(n, cols, density, rng);
+        BitMatrix gnt, gnt_ref;
+        MaxSizeAllocator::max_matching(req, gnt);
+        MaxSizeAllocator::max_matching(req, gnt_ref, /*reference=*/true);
+        const std::size_t size = MaxSizeAllocator::max_matching_size(req);
+        ASSERT_EQ(gnt, gnt_ref) << n << "x" << cols << " density " << density;
+        EXPECT_EQ(size, MaxSizeAllocator::max_matching_size(req, true));
+        EXPECT_EQ(size, gnt.count());
+        EXPECT_EQ(size, kuhn_matching_size(req));
+        EXPECT_TRUE(gnt.is_matching());
+        EXPECT_TRUE(gnt.is_subset_of(req));
+
+        MaxSizeAllocator alloc(n, cols);
+        BitMatrix gnt_alloc;
+        alloc.allocate(req, gnt_alloc);
+        EXPECT_EQ(gnt_alloc, gnt);
+      }
+    }
+  }
+}
+
+TEST(MaxSizeAllocator, ScratchReuseAcrossShrinkingAndGrowingShapes) {
+  // The matcher keeps its buffers per thread. Shapes that shrink and then
+  // grow again on one thread must match what a fresh thread (fresh buffers)
+  // computes for the same matrix.
+  const struct {
+    std::size_t rows, cols;
+    double density;
+  } shapes[] = {{160, 160, 0.05}, {5, 5, 0.9},   {65, 64, 0.3},
+                {1, 1, 1.0},      {160, 10, 0.6}, {10, 160, 0.025},
+                {63, 65, 0.1},    {0, 3, 0.5},    {160, 160, 0.9}};
+  Rng rng(0x5C);
+  for (const auto& s : shapes) {
+    const BitMatrix req = random_requests(s.rows, s.cols, s.density, rng);
+    BitMatrix gnt;
+    MaxSizeAllocator::max_matching(req, gnt);
+    const std::size_t size = MaxSizeAllocator::max_matching_size(req);
+    BitMatrix fresh_gnt;
+    std::size_t fresh_size = 0;
+    std::thread([&] {
+      MaxSizeAllocator::max_matching(req, fresh_gnt);
+      fresh_size = MaxSizeAllocator::max_matching_size(req);
+    }).join();
+    EXPECT_EQ(gnt, fresh_gnt) << s.rows << "x" << s.cols;
+    EXPECT_EQ(size, fresh_size) << s.rows << "x" << s.cols;
+    EXPECT_EQ(size, kuhn_matching_size(req)) << s.rows << "x" << s.cols;
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace nocalloc::quality {
 namespace {
 
@@ -138,6 +140,125 @@ TEST(SaQuality, WavefrontRecoversAtHighRate) {
 
 TEST(SaQuality, MaxSizeAllocatorScoresExactlyOne) {
   EXPECT_DOUBLE_EQ(sa_quality(AllocatorKind::kMaximumSize, 5, 4, 0.7), 1.0);
+}
+
+// The sweeps run each allocator's single-word kernel when it has one, and its
+// allocate() otherwise. Twin allocators, one on the kernel path and one forced
+// onto the reference allocate() path, must report identical grants and
+// maximum-size grants over the figure grid, with priority state carried across
+// rates as in the figure benches.
+constexpr double kFigureRates[] = {0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0};
+constexpr AllocatorKind kKernelFamilies[] = {
+    AllocatorKind::kSeparableInputFirst, AllocatorKind::kSeparableOutputFirst,
+    AllocatorKind::kWavefront};
+constexpr ArbiterKind kArbiters[] = {ArbiterKind::kRoundRobin,
+                                     ArbiterKind::kMatrix};
+
+struct Fig7Point {
+  const char* label;
+  std::size_t ports;
+  VcPartition partition;
+};
+
+std::vector<Fig7Point> fig7_points() {
+  return {{"mesh 2x1x1", 5, VcPartition::mesh(2, 1)},
+          {"mesh 2x1x2", 5, VcPartition::mesh(2, 2)},
+          {"mesh 2x1x4", 5, VcPartition::mesh(2, 4)},
+          {"fbfly 2x2x1", 10, VcPartition::fbfly(2, 1)},
+          {"fbfly 2x2x2", 10, VcPartition::fbfly(2, 2)},
+          {"fbfly 2x2x4", 10, VcPartition::fbfly(2, 4)}};
+}
+
+TEST(QualityKernelPath, VcMatchesAllocateFallbackOnFig7Grid) {
+  for (const Fig7Point& pt : fig7_points()) {
+    for (AllocatorKind kind : kKernelFamilies) {
+      for (ArbiterKind arb : kArbiters) {
+        VcAllocatorConfig cfg;
+        cfg.ports = pt.ports;
+        cfg.partition = pt.partition;
+        cfg.kind = kind;
+        cfg.arb = arb;
+        auto kernel = make_vc_allocator(cfg);
+        auto fallback = make_vc_allocator(cfg);
+        fallback->set_reference_path(true);
+        ASSERT_TRUE(kernel->fast_ready()) << pt.label << " " << to_string(kind);
+        Rng rk(21), rf(21);
+        for (double rate : kFigureRates) {
+          const QualityResult a =
+              measure_vc_quality(*kernel, pt.partition, rate, 150, rk);
+          const QualityResult b =
+              measure_vc_quality(*fallback, pt.partition, rate, 150, rf);
+          const std::string where = std::string(pt.label) + " " +
+                                    to_string(kind) + " arb " +
+                                    to_string(arb) +
+                                    " rate " + std::to_string(rate);
+          EXPECT_EQ(a.grants, b.grants) << where;
+          EXPECT_EQ(a.max_grants, b.max_grants) << where;
+          EXPECT_GT(a.max_grants, 0u) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(QualityKernelPath, SaMatchesAllocateFallbackOnFig12Grid) {
+  for (std::size_t ports : {5u, 10u}) {
+    for (std::size_t vcs : {2u, 4u, 8u, 16u}) {
+      for (AllocatorKind kind : kKernelFamilies) {
+        for (ArbiterKind arb : kArbiters) {
+          auto kernel = make_switch_allocator({ports, vcs, kind, arb});
+          auto fallback = make_switch_allocator({ports, vcs, kind, arb});
+          fallback->set_reference_path(true);
+          ASSERT_TRUE(kernel->fast_ready()) << "P=" << ports << " V=" << vcs;
+          Rng rk(23), rf(23);
+          for (double rate : kFigureRates) {
+            const QualityResult a = measure_sa_quality(*kernel, rate, 300, rk);
+            const QualityResult b =
+                measure_sa_quality(*fallback, rate, 300, rf);
+            const std::string where =
+                "P=" + std::to_string(ports) + " V=" + std::to_string(vcs) +
+                " " + to_string(kind) + " arb " +
+                to_string(arb) + " rate " +
+                std::to_string(rate);
+            EXPECT_EQ(a.grants, b.grants) << where;
+            EXPECT_EQ(a.max_grants, b.max_grants) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(QualityKernelPath, MaxSizeScoresExactlyOneThroughFallback) {
+  // Max-size has no single-word kernel, so the sweeps reach it through
+  // allocate() and the shared matcher; it must equal its own reference.
+  for (const Fig7Point& pt : fig7_points()) {
+    VcAllocatorConfig cfg;
+    cfg.ports = pt.ports;
+    cfg.partition = pt.partition;
+    cfg.kind = AllocatorKind::kMaximumSize;
+    auto alloc = make_vc_allocator(cfg);
+    ASSERT_FALSE(alloc->fast_ready());
+    Rng rng(25);
+    for (double rate : kFigureRates) {
+      const QualityResult q =
+          measure_vc_quality(*alloc, pt.partition, rate, 100, rng);
+      EXPECT_EQ(q.grants, q.max_grants) << pt.label << " rate " << rate;
+    }
+  }
+  for (std::size_t ports : {5u, 10u}) {
+    for (std::size_t vcs : {2u, 4u, 8u, 16u}) {
+      auto alloc = make_switch_allocator(
+          {ports, vcs, AllocatorKind::kMaximumSize, ArbiterKind::kRoundRobin});
+      ASSERT_FALSE(alloc->fast_ready());
+      Rng rng(27);
+      for (double rate : kFigureRates) {
+        const QualityResult q = measure_sa_quality(*alloc, rate, 200, rng);
+        EXPECT_EQ(q.grants, q.max_grants)
+            << "P=" << ports << " V=" << vcs << " rate " << rate;
+      }
+    }
+  }
 }
 
 TEST(Quality, ReproducibleForSameSeed) {

@@ -84,53 +84,70 @@ TEST(ParallelMap, BitIdenticalAcrossPoolSizes) {
   }
 }
 
+// Every pool thread runs its own single-word kernel and its own per-thread
+// maximum-size matcher scratch; results must not depend on the thread count.
 TEST(QualitySweep, SaResultsIdenticalAcrossPoolSizes) {
   const std::vector<double> rates = {0.1, 0.3, 0.5, 0.7, 0.9};
-  const auto factory = [] {
-    return make_switch_allocator(
-        {5, 4, AllocatorKind::kSeparableInputFirst, ArbiterKind::kRoundRobin});
-  };
-  ThreadPool serial(1);
-  const auto expected =
-      quality::measure_sa_quality_sweep(serial, factory, rates, 400, 0xF00D);
-  ASSERT_EQ(expected.size(), rates.size());
-  for (std::size_t threads : {2u, 6u}) {
-    ThreadPool pool(threads);
-    const auto got =
-        quality::measure_sa_quality_sweep(pool, factory, rates, 400, 0xF00D);
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].rate, expected[i].rate) << "threads=" << threads;
-      EXPECT_EQ(got[i].grants, expected[i].grants)
-          << "threads=" << threads << " rate " << rates[i];
-      EXPECT_EQ(got[i].max_grants, expected[i].max_grants)
-          << "threads=" << threads << " rate " << rates[i];
+  for (AllocatorKind kind :
+       {AllocatorKind::kSeparableInputFirst, AllocatorKind::kWavefront}) {
+    const auto factory = [kind] {
+      return make_switch_allocator({5, 4, kind, ArbiterKind::kRoundRobin});
+    };
+    ThreadPool serial(1);
+    const auto expected =
+        quality::measure_sa_quality_sweep(serial, factory, rates, 400, 0xF00D);
+    ASSERT_EQ(expected.size(), rates.size());
+    for (std::size_t threads : {2u, 6u}) {
+      ThreadPool pool(threads);
+      const auto got =
+          quality::measure_sa_quality_sweep(pool, factory, rates, 400, 0xF00D);
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        const std::string where = to_string(kind) + " threads=" +
+                                  std::to_string(threads) + " rate " +
+                                  std::to_string(rates[i]);
+        EXPECT_EQ(got[i].rate, expected[i].rate) << where;
+        EXPECT_EQ(got[i].grants, expected[i].grants) << where;
+        EXPECT_EQ(got[i].max_grants, expected[i].max_grants) << where;
+      }
     }
   }
 }
 
 TEST(QualitySweep, VcResultsIdenticalAcrossPoolSizes) {
-  const VcPartition part = VcPartition::mesh(2, 2);
   const std::vector<double> rates = {0.2, 0.6, 1.0};
-  const auto factory = [&part] {
-    VcAllocatorConfig cfg;
-    cfg.ports = 5;
-    cfg.partition = part;
-    cfg.kind = AllocatorKind::kSeparableOutputFirst;
-    return make_vc_allocator(cfg);
-  };
-  ThreadPool serial(1);
-  const auto expected = quality::measure_vc_quality_sweep(serial, factory,
-                                                          part, rates, 300, 7);
-  for (std::size_t threads : {2u, 5u}) {
-    ThreadPool pool(threads);
-    const auto got = quality::measure_vc_quality_sweep(pool, factory, part,
-                                                       rates, 300, 7);
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].grants, expected[i].grants) << "threads=" << threads;
-      EXPECT_EQ(got[i].max_grants, expected[i].max_grants)
-          << "threads=" << threads;
+  const struct {
+    std::size_t ports;
+    VcPartition part;
+  } points[] = {{5, VcPartition::mesh(2, 2)}, {10, VcPartition::fbfly(2, 4)}};
+  for (const auto& pt : points) {
+    const std::size_t ports = pt.ports;
+    const VcPartition& part = pt.part;
+    for (AllocatorKind kind :
+         {AllocatorKind::kSeparableOutputFirst, AllocatorKind::kWavefront}) {
+      const auto factory = [&part, ports, kind] {
+        VcAllocatorConfig cfg;
+        cfg.ports = ports;
+        cfg.partition = part;
+        cfg.kind = kind;
+        return make_vc_allocator(cfg);
+      };
+      ThreadPool serial(1);
+      const auto expected = quality::measure_vc_quality_sweep(
+          serial, factory, part, rates, 300, 7);
+      for (std::size_t threads : {2u, 5u}) {
+        ThreadPool pool(threads);
+        const auto got = quality::measure_vc_quality_sweep(pool, factory, part,
+                                                           rates, 300, 7);
+        ASSERT_EQ(got.size(), expected.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          const std::string where = std::to_string(ports) + " ports " +
+                                    to_string(kind) + " threads=" +
+                                    std::to_string(threads);
+          EXPECT_EQ(got[i].grants, expected[i].grants) << where;
+          EXPECT_EQ(got[i].max_grants, expected[i].max_grants) << where;
+        }
+      }
     }
   }
 }

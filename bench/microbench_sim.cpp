@@ -5,8 +5,9 @@
 // process.
 //
 // Every design point runs twice from the same seed: once as shipped, and
-// once with Network::set_reference_path(true), which sends every router to
-// the scalar Router::allocate over the allocators' byte-loop oracles. Both
+// once with Network::set_reference_path(true), which sends every
+// allocator's word entry point to its byte-loop oracle and runs every
+// allocation stage of a non-empty cycle, skipped or not. Both
 // runs must end in the same state (flits ejected, router-steps skipped,
 // arena high water); the ratio of their stepping rates is the kernels'
 // speedup on this host. Construction is timed apart and excluded from
@@ -22,16 +23,18 @@
 //      reference path. Only allocator-bound points are gated -- torus with
 //      C=8 (sep_if), mesh with C=8 (sep_of, matrix arbiters) and mesh with
 //      C=4 (wavefront, speculative and not) -- because there the kernels
-//      beat the scalar Router::allocate fallback by 2x or more, so a floor
-//      can sit clear of both. On a 4-core x86 host the kernels measured
-//      95-179x / 14-19x / 7.4-12x / 8.2-12x (sep_if / sep_of / matrix /
-//      wavefront) against floors of 50x / 10x / 5.5x / 4x, and the same
-//      points forced onto the fallback 22-30x / 5.9-10x / 2.9-4.2x / 0.9-1.1x.
-//      At the C=1 mesh/fbfly loads the scalar mask path alone reads 1.3x-2.6x
-//      over the byte-loop reference against 1.8x-4.5x for the kernels, too
-//      close to gate; those rows are reported only. Separable and wavefront
-//      points are summarised apart, so one family falling back to the
-//      scalar path cannot hide behind the other's number;
+//      beat the multi-word mask allocate() (the former scalar router path)
+//      by 2x or more, so a floor can sit clear of both. On a 4-core x86
+//      host the kernels measured 95-179x / 14-19x / 7.4-12x / 8.2-12x
+//      (sep_if / sep_of / matrix / wavefront) against floors of 50x / 10x /
+//      5.5x / 4x, and the same points on the mask path 22-30x / 5.9-10x /
+//      2.9-4.2x / 0.9-1.1x. At the C=1 mesh/fbfly loads the mask path alone
+//      read 1.3x-2.6x over the byte-loop reference against 1.8x-4.5x for
+//      the kernels, too close to gate; those rows are reported only, and so
+//      is the maximum-size row, which has no kernel and runs its
+//      allocate() behind the word-to-vector adapter on both sides.
+//      Separable and wavefront points are summarised apart, so one family
+//      slowing down cannot hide behind the other's number;
 //   4. construction: building the torus/C=8/sep_if network with matrix
 //      arbiters may take at most kMaxMatrixBuildRatio times as long as with
 //      round-robin arbiters (median of several builds each, interleaved).
@@ -267,9 +270,10 @@ int run_all() {
   // every allocator family with a kernel at an allocator-bound point: torus
   // with C=8 packs the full 64-VC word (2 message classes x 4 dateline
   // resource classes x 8); mesh with C=8 gives sep_of and matrix 16 VCs per
-  // port, where their kernels lead the fallback by 2x or more (at C=4 the
+  // port, where their kernels lead the mask path by 2x or more (at C=4 the
   // lead is 1.7-2x, too narrow for a floor); mesh with C=4 keeps the
-  // reference wavefront's PV x PV array affordable.
+  // reference wavefront's PV x PV array affordable. The maximum-size row
+  // keeps the word-to-vector adapter under the zero-allocation gate.
   using AK = AllocatorKind;
   using TK = TopologyKind;
   const Point points[] = {
@@ -287,6 +291,7 @@ int run_all() {
       {TK::kMesh8x8, 4, 0.30, "mesh/C=4/wf", 4.0, AK::kWavefront},
       {TK::kMesh8x8, 4, 0.30, "mesh/C=4/wf/nonspec", 4.0, AK::kWavefront,
        ArbiterKind::kRoundRobin, SpecMode::kNonSpeculative},
+      {TK::kMesh8x8, 2, 0.30, "mesh/C=2/max", 0.0, AK::kMaximumSize},
   };
   const std::size_t n_points = sizeof(points) / sizeof(points[0]);
 

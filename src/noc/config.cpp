@@ -27,6 +27,7 @@ AllocatorKind parse_allocator(const std::string& v) {
   if (v == "sep_if") return AllocatorKind::kSeparableInputFirst;
   if (v == "sep_of") return AllocatorKind::kSeparableOutputFirst;
   if (v == "wf") return AllocatorKind::kWavefront;
+  if (v == "max") return AllocatorKind::kMaximumSize;
   NOCALLOC_CHECK(false);
 }
 

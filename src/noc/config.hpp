@@ -5,9 +5,9 @@
 // Recognized keys (defaults in parentheses):
 //   topology        mesh | fbfly | ring | torus          (mesh)
 //   vcs_per_class   integer >= 1                         (1)
-//   vc_alloc        sep_if | sep_of | wf                 (sep_if)
+//   vc_alloc        sep_if | sep_of | wf | max           (sep_if)
 //   vc_arb          rr | m                               (rr)
-//   sw_alloc        sep_if | sep_of | wf                 (sep_if)
+//   sw_alloc        sep_if | sep_of | wf | max           (sep_if)
 //   sw_arb          rr | m                               (rr)
 //   spec            nonspec | spec_gnt | spec_req        (spec_req)
 //   buffer_depth    integer >= 1                         (8)

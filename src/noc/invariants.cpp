@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
-#include <unordered_set>
 #include <utility>
 
 #include "noc/network.hpp"
@@ -50,7 +49,7 @@ void InvariantChecker::report(InvariantViolation violation) {
 // ---- Allocation-result hooks ------------------------------------------------
 
 void InvariantChecker::on_vc_alloc(const Router& router, Cycle now,
-                                   const std::vector<VcRequest>& req,
+                                   const FastVcRequest* req, std::size_t n,
                                    const std::vector<int>& grant) {
   if (!cfg_.check_allocations) return;
   ++checks_;
@@ -63,59 +62,66 @@ void InvariantChecker::on_vc_alloc(const Router& router, Cycle now,
                               static_cast<int>(input % vcs), "vc-alloc", msg});
   };
 
-  if (grant.size() != total || req.size() != total) {
+  if (grant.size() != total) {
     report(InvariantViolation{now, router.id(), -1, -1, "vc-alloc",
                               "result size does not match P*V"});
     return;
   }
 
-  std::unordered_set<int> granted_out;
+  // Requests are ascending by input VC, so one cursor pairs each granted
+  // entry with its request (if any) in a single pass over the grants.
+  granted_out_.assign(bits::word_count(total), 0);
+  std::size_t k = 0;
   for (std::size_t i = 0; i < total; ++i) {
+    while (k < n && req[k].input < i) ++k;
     const int g = grant[i];
     if (g < 0) continue;
-    const VcRequest& r = req[i];
-    if (!r.valid) {
+    if (k == n || req[k].input != i) {
       violation(i, "grant to an input VC that made no request");
       continue;
     }
+    const FastVcRequest& r = req[k];
     if (static_cast<std::size_t>(g) >= total) {
       violation(i, "granted output VC index out of range");
       continue;
     }
-    const int out_port = g / static_cast<int>(vcs);
+    const auto out_port = static_cast<std::size_t>(g) / vcs;
     const auto out_vc = static_cast<std::size_t>(g) % vcs;
     if (out_port != r.out_port) {
       violation(i, "granted VC lives at a different output port than "
                    "the one routing selected");
     }
-    if (out_vc >= r.vc_mask.size() || r.vc_mask[out_vc] == 0) {
+    if ((r.vc_mask & bits::bit(out_vc)) == 0) {
       violation(i, "granted VC is outside the request's candidate mask");
     }
     // Called pre-commit, so a legally granted output VC is still free.
     if (router.output_vcs_[static_cast<std::size_t>(g)].allocated) {
       violation(i, "granted an output VC that is already allocated");
     }
-    if (!granted_out.insert(g).second) {
+    bits::Word& seen = granted_out_[bits::word_of(static_cast<std::size_t>(g))];
+    if ((seen & bits::bit(static_cast<std::size_t>(g))) != 0) {
       violation(i, "output VC granted to two input VCs in one cycle");
     }
+    seen |= bits::bit(static_cast<std::size_t>(g));
   }
 }
 
 void InvariantChecker::on_sw_alloc(const Router& router, Cycle now,
-                                   const std::vector<SwitchRequest>& req,
+                                   const bits::Word* vc_words,
+                                   const std::uint8_t* out_ports,
                                    const std::vector<SwitchGrant>& grant) {
   if (!cfg_.check_allocations) return;
   ++checks_;
   const std::size_t ports = router.cfg_.ports;
   const std::size_t vcs = router.vcs_;
 
-  if (grant.size() != ports || req.size() != ports * vcs) {
+  if (grant.size() != ports) {
     report(InvariantViolation{now, router.id(), -1, -1, "sw-alloc",
                               "result size does not match port/VC counts"});
     return;
   }
 
-  std::unordered_set<int> granted_out;
+  bits::Word granted_out = 0;
   for (std::size_t p = 0; p < ports; ++p) {
     const SwitchGrant& g = grant[p];
     if (!g.granted()) continue;
@@ -131,39 +137,41 @@ void InvariantChecker::on_sw_alloc(const Router& router, Cycle now,
       violation("granted output port out of range");
       continue;
     }
-    const SwitchRequest& r = req[p * vcs + static_cast<std::size_t>(g.vc)];
-    if (!r.valid) violation("grant to a VC that made no switch request");
-    if (r.valid && r.out_port != g.out_port) {
+    const auto v = static_cast<std::size_t>(g.vc);
+    const bool valid = (vc_words[p] & bits::bit(v)) != 0;
+    if (!valid) violation("grant to a VC that made no switch request");
+    if (valid && out_ports[p * vcs + v] != g.out_port) {
       violation("grant targets a different output port than requested");
     }
-    if (!granted_out.insert(g.out_port).second) {
+    const bits::Word o_bit = bits::bit(static_cast<std::size_t>(g.out_port));
+    if ((granted_out & o_bit) != 0) {
       violation("output port granted to two input ports in one cycle");
     }
+    granted_out |= o_bit;
   }
 }
 
 void InvariantChecker::on_spec_sw_alloc(
-    const Router& router, Cycle now,
-    const std::vector<SwitchRequest>& nonspec_req,
-    const std::vector<SwitchRequest>& spec_req,
-    const std::vector<SpecSwitchGrant>& grant, SpecMode mode) {
+    const Router& router, Cycle now, const bits::Word* ns_words,
+    const std::uint8_t* ns_out, const bits::Word* sp_words,
+    const std::uint8_t* sp_out, const std::vector<SpecSwitchGrant>& grant,
+    SpecMode mode) {
   if (!cfg_.check_allocations) return;
   ++checks_;
   const std::size_t ports = router.cfg_.ports;
   const std::size_t vcs = router.vcs_;
 
-  if (grant.size() != ports || nonspec_req.size() != ports * vcs ||
-      spec_req.size() != ports * vcs) {
+  if (grant.size() != ports) {
     report(InvariantViolation{now, router.id(), -1, -1, "spec-sw-alloc",
                               "result size does not match port/VC counts"});
     return;
   }
 
-  // Validate each half against its own request vector and check that the
+  // Validate each half against its own request words and check that the
   // union of surviving grants is still a matching.
-  std::unordered_set<int> granted_out;
+  bits::Word granted_out = 0;
   auto check_half = [&](std::size_t p, const SwitchGrant& g,
-                        const std::vector<SwitchRequest>& req,
+                        const bits::Word* words, const std::uint8_t* out,
                         const char* label) {
     auto violation = [&](const std::string& msg) {
       report(InvariantViolation{now, router.id(), static_cast<int>(p), g.vc,
@@ -178,14 +186,17 @@ void InvariantChecker::on_spec_sw_alloc(
       violation("granted output port out of range");
       return;
     }
-    const SwitchRequest& r = req[p * vcs + static_cast<std::size_t>(g.vc)];
-    if (!r.valid) violation("grant to a VC that made no request");
-    if (r.valid && r.out_port != g.out_port) {
+    const auto v = static_cast<std::size_t>(g.vc);
+    const bool valid = (words[p] & bits::bit(v)) != 0;
+    if (!valid) violation("grant to a VC that made no request");
+    if (valid && out[p * vcs + v] != g.out_port) {
       violation("grant targets a different output port than requested");
     }
-    if (!granted_out.insert(g.out_port).second) {
+    const bits::Word o_bit = bits::bit(static_cast<std::size_t>(g.out_port));
+    if ((granted_out & o_bit) != 0) {
       violation("output port granted twice across the spec/nonspec union");
     }
+    granted_out |= o_bit;
   };
 
   for (std::size_t p = 0; p < ports; ++p) {
@@ -196,8 +207,10 @@ void InvariantChecker::on_spec_sw_alloc(
                                 "both speculative and non-speculative grants "
                                 "survived at one input port"});
     }
-    if (g.nonspec.granted()) check_half(p, g.nonspec, nonspec_req, "nonspec");
-    if (g.spec.granted()) check_half(p, g.spec, spec_req, "spec");
+    if (g.nonspec.granted()) {
+      check_half(p, g.nonspec, ns_words, ns_out, "nonspec");
+    }
+    if (g.spec.granted()) check_half(p, g.spec, sp_words, sp_out, "spec");
   }
 
   // Masking rules of Sec. 5.2. With pessimistic (spec_req) masking, a
@@ -211,11 +224,9 @@ void InvariantChecker::on_spec_sw_alloc(
     const SwitchGrant& g = grant[p].spec;
     if (!g.granted()) continue;
     for (std::size_t q = 0; q < ports; ++q) {
-      for (std::size_t v = 0; v < vcs; ++v) {
-        const SwitchRequest& r = nonspec_req[q * vcs + v];
-        if (!r.valid) continue;
+      bits::for_each_set(&ns_words[q], 1, [&](std::size_t v) {
         const bool same_input = q == p;
-        const bool same_output = r.out_port == g.out_port;
+        const bool same_output = ns_out[q * vcs + v] == g.out_port;
         if (same_input || same_output) {
           report(InvariantViolation{
               now, router.id(), static_cast<int>(p), g.vc, "spec-sw-alloc",
@@ -223,7 +234,7 @@ void InvariantChecker::on_spec_sw_alloc(
               "conflicting non-speculative request at port " +
                   std::to_string(q)});
         }
-      }
+      });
     }
   }
 }
@@ -363,6 +374,20 @@ void InvariantChecker::check_router_state(const Router& router, Cycle now) {
       if (!ovc.allocated && holders != 0) {
         violation("vc-ownership",
                   "free output VC is referenced by an active input VC");
+      }
+      // The allocation stage reads the derived words, not the structs, so
+      // they must mirror them exactly.
+      if (((router.out_alloc_words_[p] >> v) & 1) !=
+          static_cast<bits::Word>(ovc.allocated)) {
+        violation("derived-words",
+                  "allocated-word bit disagrees with the output VC's "
+                  "allocated flag");
+      }
+      if (((router.out_credit_words_[p] >> v) & 1) !=
+          static_cast<bits::Word>(ovc.credits > 0)) {
+        violation("derived-words",
+                  "credit-word bit disagrees with the output VC's credit "
+                  "count (" + std::to_string(ovc.credits) + ")");
       }
     }
   }

@@ -7,15 +7,19 @@
 // run (SimConfig::check_invariants, `nocsim --check-invariants`); it hooks
 // two kinds of boundaries:
 //
-//   - allocation results, validated inside Router::allocate() every cycle:
-//     VC grants must match valid requests from their candidate masks with
-//     no output VC granted twice; switch grants must form a port matching;
-//     speculative grants must obey the spec_req/spec_gnt masking rules of
-//     Sec. 5.2 (a surviving speculative grant never conflicts with
-//     non-speculative traffic on either side of the crossbar).
+//   - allocation results, validated inside Router::allocate() on every
+//     cycle the router is stepped, on the request words and grants the
+//     allocators' word entry points (kernels, the max-size adapter, or the
+//     reference-path oracles) actually saw and returned: VC grants must
+//     match requests from their candidate masks with no output VC granted
+//     twice; switch grants must form a port matching; speculative grants
+//     must obey the spec_req/spec_gnt masking rules of Sec. 5.2 (a
+//     surviving speculative grant never conflicts with non-speculative
+//     traffic on either side of the crossbar).
 //
 //   - step boundaries, validated after every Network::step(): per-VC input
-//     state-machine legality, per-channel credit conservation (upstream
+//     state-machine legality, the router's derived allocated/credit words
+//     against its output VC structs, per-channel credit conservation (upstream
 //     credits + in-flight flits/credits + downstream occupancy must equal
 //     the buffer depth, on router links and terminal links alike),
 //     network-wide flit conservation (injected = ejected + in flight), and
@@ -113,19 +117,20 @@ class InvariantChecker {
   InvariantCheckerConfig& config() { return cfg_; }
 
   // ---- Hooks ---------------------------------------------------------------
-  // Called by Router::allocate() with each cycle's allocation results
-  // *before* they are committed, and by Network::step() after the receive
-  // phase. Wiring happens via Network::attach_invariant_checker().
+  // Called by Router::allocate() with each cycle's allocation requests and
+  // results in the word form the allocators receive (see
+  // VcAllocator::allocate_fast and SwitchAllocator::allocate_fast), *before*
+  // they are committed, and by Network::step() after the receive phase.
+  // Wiring happens via Network::attach_invariant_checker().
 
-  void on_vc_alloc(const Router& router, Cycle now,
-                   const std::vector<VcRequest>& req,
-                   const std::vector<int>& grant);
+  void on_vc_alloc(const Router& router, Cycle now, const FastVcRequest* req,
+                   std::size_t n, const std::vector<int>& grant);
   void on_sw_alloc(const Router& router, Cycle now,
-                   const std::vector<SwitchRequest>& req,
+                   const bits::Word* vc_words, const std::uint8_t* out_ports,
                    const std::vector<SwitchGrant>& grant);
   void on_spec_sw_alloc(const Router& router, Cycle now,
-                        const std::vector<SwitchRequest>& nonspec_req,
-                        const std::vector<SwitchRequest>& spec_req,
+                        const bits::Word* ns_words, const std::uint8_t* ns_out,
+                        const bits::Word* sp_words, const std::uint8_t* sp_out,
                         const std::vector<SpecSwitchGrant>& grant,
                         SpecMode mode);
   /// Called for every committed lookahead routing decision: a packet in
@@ -173,6 +178,8 @@ class InvariantChecker {
   // Deadlock watchdog state.
   Cycle last_progress_cycle_ = 0;
   std::uint64_t last_progress_signature_ = 0;
+  // on_vc_alloc() scratch: output VCs granted so far this call.
+  std::vector<bits::Word> granted_out_;
 };
 
 }  // namespace nocalloc::noc

@@ -99,7 +99,7 @@ void Network::step() {
   // -- the sent item only becomes receivable one cycle later.
   for (std::size_t r = 0; r < nr; ++r) {
     if (router_active_[r]) {
-      routers_[r]->allocate_fast(t);
+      routers_[r]->allocate(t);
     } else {
       ++perf_.router_steps_skipped;
     }

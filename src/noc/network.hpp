@@ -61,8 +61,8 @@ class Network final : public CongestionOracle {
           RoutingFactory routing_factory, Terminal::EjectCallback on_eject);
 
   /// Advances one cycle (allocate -> inject -> receive). The allocation
-  /// stage runs Router::allocate_fast, which takes the single-word kernels
-  /// where they exist and the scalar allocators otherwise.
+  /// stage is Router::allocate, which calls every allocator through its
+  /// word entry point.
   void step();
 
   Cycle now() const { return now_; }
@@ -119,9 +119,9 @@ class Network final : public CongestionOracle {
   std::uint64_t flits_ejected() const;
 
   /// Puts every router's allocators on their byte-loop reference path (see
-  /// Allocator::set_reference_path), which also sends every router's
-  /// allocation stage to the scalar Router::allocate. Results are
-  /// bit-identical either way; benches time the two paths side by side.
+  /// Allocator::set_reference_path): the word entry points then expand
+  /// their words and run the oracles. Results are bit-identical either way;
+  /// benches time the two side by side.
   void set_reference_path(bool ref);
 
   /// Attaches a protocol checker: every router reports allocation results to

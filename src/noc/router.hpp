@@ -13,6 +13,15 @@
 //   receive(t)   -- arriving flits enter input VC buffers, arriving credits
 //                   replenish output VC counters (visible from t+1)
 //
+// Allocation has one path. Requests are built as single words -- one
+// VC mask per port, one candidate mask per waiting head -- so a router has
+// at most 64 ports and 64 VCs per port (checked at construction). They go
+// through the allocators' word entry points; whatever runs behind them (a
+// sparse kernel, maximum-size through the word-to-vector adapter, or the
+// byte-loop oracles on the reference path), the router code is the same,
+// and an attached InvariantChecker audits the very words and grants it
+// commits.
+//
 // The switch-traversal pipeline stage is folded into the wires: a grant at
 // cycle t used to sit in a crossbar register and enter the channel at t+1;
 // instead the channel latency of every router-driven link is one higher and
@@ -21,7 +30,7 @@
 //
 // The per-cycle path is allocation-free in steady state: input VC buffers
 // are fixed-capacity rings, the crossbar and credit-return registers are
-// one-deep slots, and the allocator request/grant vectors are reused member
+// one-deep slots, and the allocator request/grant words are reused member
 // scratch. Occupied input VCs are tracked in packed bitmasks (wait_mask_ /
 // active_mask_) so allocate() touches only VCs that actually hold packets,
 // and the Network's active-set scheduler can skip the router entirely while
@@ -98,30 +107,15 @@ class Router {
   void attach_output(int port, Channel<Flit>* flits_out,
                      Channel<Credit>* credits_in, int downstream_router);
 
-  /// The scalar allocation stage: builds request vectors and calls the
-  /// allocators' virtual allocate(). It is the fallback of allocate_fast()
-  /// and the oracle the kernels are tested against.
+  /// The allocation stage Network::step() calls: VA for waiting heads, SA
+  /// (speculative or not) for ready flits, then the commits, all in word
+  /// form (see the file comment).
   void allocate(Cycle now);
 
-  /// Devirtualized allocate(), the one Network::step() calls: the same stage
-  /// sequence, stats, and priority-state evolution, but the VC-request
-  /// build, VA, SA, and speculation masks run as single-word sparse kernels
-  /// against the allocators' own priority state (separable input-/output-
-  /// first, wavefront; round-robin or matrix arbiters). Falls back to
-  /// allocate() whenever the configuration has no fast path (maximum-size
-  /// allocators, over-word dimensions, attached checker, or reference-path
-  /// mode), so results are bit-identical either way.
-  void allocate_fast(Cycle now);
-
-  /// True when allocate_fast() takes its devirtualized path rather than
-  /// falling back (exposed for tests and benches).
-  bool fast_path_active() const {
-    return fast_ok_ && checker_ == nullptr && !vc_alloc_->reference_path();
-  }
-
   /// Puts every allocator of this router on its byte-loop reference path
-  /// (see Allocator::set_reference_path); allocate_fast() then falls back to
-  /// allocate().
+  /// (see Allocator::set_reference_path); allocate() then also runs every
+  /// stage of a non-empty cycle instead of skipping empty ones. Results are
+  /// bit-identical either way, and the two may alternate between cycles.
   void set_reference_path(bool ref);
 
   void receive(Cycle now);
@@ -140,8 +134,9 @@ class Router {
   /// Total flits currently buffered (used by drain checks in tests/benches).
   std::size_t buffered_flits() const;
 
-  /// Attaches a protocol checker; allocate() reports every allocation result
-  /// to it before committing. Null detaches.
+  /// Attaches a protocol checker; allocate() then runs every stage each
+  /// cycle it is called and reports every allocation result to the checker
+  /// before committing. Null detaches.
   void set_invariant_checker(InvariantChecker* checker) { checker_ = checker; }
 
   /// Serializes / restores the router's mutable state: input VC buffers and
@@ -205,17 +200,14 @@ class Router {
   std::vector<Channel<Credit>*> credits_in_;
   std::vector<int> downstream_;
 
-  // Member scratch for allocate(): request/grant vectors sized once and
-  // reused every cycle. Entries are cleared via the touched-index lists so
-  // cleanup is proportional to the cycle's traffic, not to ports * vcs.
-  std::vector<VcRequest> vreq_;
-  std::vector<int> vgrant_;
-  std::vector<SwitchRequest> nonspec_req_;
-  std::vector<SwitchRequest> spec_req_;
+  // Member scratch for allocate(), sized once and reused every cycle.
+  std::vector<FastVcRequest> vreq_;        // this cycle's waiting heads
+  std::vector<int> vgrant_;                // [p * V + v]; all -1 between cycles
+  std::vector<bits::Word> ns_words_;       // [p]: SA-requesting VCs
+  std::vector<bits::Word> sp_words_;       // [p]: speculative bids
+  std::vector<std::uint8_t> out_port_;     // [p * V + v]: requested output
   std::vector<SwitchGrant> sw_grants_;
   std::vector<SpecSwitchGrant> spec_grants_;
-  std::vector<std::size_t> touched_wait_;
-  std::vector<std::size_t> touched_nonspec_;
 
   // The cycle the next allocate() call is expected at. When the active-set
   // scheduler skipped cycles, allocate() first advances the allocators'
@@ -234,32 +226,17 @@ class Router {
   bits::Word rx_flit_pending_ = 0;
   bits::Word rx_credit_pending_ = 0;
 
-  // Fast path: single-word request scratch (per-port VC masks and
-  // the per-input-VC requested output port). The kernels themselves are the
-  // allocators' own allocate_fast overrides, gated by fast_ready().
-  bool fast_ok_ = false;
   // Allocators with cycle-rotating priority state (wavefront diagonals)
-  // rotate on every allocate() call, requested or not; when the fast path
+  // rotate on every allocation call, requested or not; when allocate()
   // skips a stage's kernel because no request reached it, it compensates
-  // with advance_priority(1) so the rotation matches the scalar path.
+  // with advance_priority(1).
   bool va_rotates_ = false;
   bool sa_rotates_ = false;
-  // True whenever vgrant_ may hold stale (>= 0) entries: scalar allocate()
-  // rewrites the whole vector and leaves grants behind, and load_state
-  // restores unrelated content. The fast path's kernels require the all--1
-  // contract on entry, restore it per granted entry on commit, and bulk-wipe
-  // only when this flag says a scalar cycle actually dirtied the vector.
-  bool vgrant_dirty_ = false;
-  std::vector<FastVcRequest> fast_vreq_;
-  std::vector<bits::Word> fast_ns_words_;     // [p]: SA-requesting VCs
-  std::vector<bits::Word> fast_sp_words_;     // [p]: speculative bids
-  std::vector<std::uint8_t> fast_out_port_;   // [p * V + v]
-  // Derived per-output-port words mirroring the OutputVc structs
-  // (maintained only when fast_ok_; rebuilt on load_state): bit v of
+  // Derived per-output-port words mirroring the OutputVc structs (rebuilt
+  // on load_state; InvariantChecker audits them): bit v of
   // out_alloc_words_[p] mirrors output_vc(p, v).allocated, bit v of
-  // out_credit_words_[p] mirrors credits > 0. They turn the fast path's
-  // per-head candidate scan (C scattered struct loads) and per-bid credit
-  // check into single word ops.
+  // out_credit_words_[p] mirrors credits > 0. They turn the per-head
+  // candidate scan and per-bid credit check into single word ops.
   std::vector<bits::Word> out_alloc_words_;
   std::vector<bits::Word> out_credit_words_;
 

@@ -14,10 +14,8 @@ using nocalloc::MaxSizeAllocator;
 using nocalloc::Rng;
 using nocalloc::SwitchAllocator;
 using nocalloc::SwitchGrant;
-using nocalloc::SwitchRequest;
 using nocalloc::VcAllocator;
 using nocalloc::VcPartition;
-using nocalloc::VcRequest;
 
 QualityResult measure_vc_quality(VcAllocator& alloc,
                                  const VcPartition& partition, double rate,
@@ -39,26 +37,22 @@ QualityResult measure_vc_quality(VcAllocator& alloc,
     NOCALLOC_CHECK(!succ[vc].empty());
   }
 
-  // Same predicate as the router: the single-word kernel when the allocator
-  // has one, the allocate() call otherwise (max-size, P or V > 64, the
-  // reference path). Both make identical grants.
-  const bool kernel = alloc.fast_ready() && !alloc.reference_path();
+  // Every trial goes through the word entry point, as in the router.
+  NOCALLOC_CHECK(vcs <= bits::kWordBits &&
+                 "quality sweeps take at most 64 VCs per port (word form)");
 
   QualityResult result;
   result.rate = rate;
 
-  std::vector<FastVcRequest> fast_req(kernel ? total : 0);
-  std::vector<VcRequest> req(kernel ? 0 : total);
-  std::vector<int> grant(kernel ? total : 0, -1);
+  std::vector<FastVcRequest> req(total);
+  std::vector<int> grant(total, -1);
   BitMatrix full;
 
   for (std::size_t t = 0; t < trials; ++t) {
     full.resize(total, total);
     std::size_t n = 0;
     for (std::size_t i = 0; i < total; ++i) {
-      const bool valid = rng.next_bool(rate);
-      if (!kernel) req[i].valid = valid;
-      if (!valid) continue;
+      if (!rng.next_bool(rate)) continue;
       const std::size_t out_port = rng.next_below(ports);
       const std::size_t vc = i % vcs;
       const std::vector<std::size_t>& s = succ[vc];
@@ -69,31 +63,17 @@ QualityResult measure_vc_quality(VcAllocator& alloc,
       for (std::size_t c = 0; c < span; ++c) {
         full.set(i, out_port * vcs + base + c);
       }
-      if (kernel) {
-        fast_req[n++] = {static_cast<std::uint32_t>(i),
-                         static_cast<std::uint32_t>(out_port),
-                         bits::low_mask(span) << base};
-      } else {
-        VcRequest& r = req[i];
-        r.out_port = static_cast<int>(out_port);
-        r.vc_mask.assign(vcs, 0);
-        for (std::size_t c = 0; c < span; ++c) r.vc_mask[base + c] = 1;
-      }
+      req[n++] = {static_cast<std::uint32_t>(i),
+                  static_cast<std::uint32_t>(out_port),
+                  bits::low_mask(span) << base};
     }
 
-    if (kernel) {
-      alloc.allocate_fast(fast_req.data(), n, grant);
-      for (std::size_t k = 0; k < n; ++k) {
-        int& g = grant[fast_req[k].input];
-        if (g < 0) continue;
-        ++result.grants;
-        g = -1;  // restore the kernel's all -1 contract for the next trial
-      }
-    } else {
-      alloc.allocate(req, grant);
-      for (int g : grant) {
-        if (g >= 0) ++result.grants;
-      }
+    alloc.allocate_fast(req.data(), n, grant);
+    for (std::size_t k = 0; k < n; ++k) {
+      int& g = grant[req[k].input];
+      if (g < 0) continue;
+      ++result.grants;
+      g = -1;  // restore the all -1 contract for the next trial
     }
     result.max_grants += MaxSizeAllocator::max_matching_size(full);
   }
@@ -106,15 +86,15 @@ QualityResult measure_sa_quality(SwitchAllocator& alloc, double rate,
   const std::size_t vcs = alloc.vcs();
   const std::size_t total = ports * vcs;
 
-  // Same kernel predicate as measure_vc_quality.
-  const bool kernel = alloc.fast_ready() && !alloc.reference_path();
+  // Every trial goes through the word entry point, as in the router.
+  NOCALLOC_CHECK(ports <= bits::kWordBits && vcs <= bits::kWordBits &&
+                 "quality sweeps take at most 64 ports and 64 VCs (word form)");
 
   QualityResult result;
   result.rate = rate;
 
-  std::vector<bits::Word> vc_words(kernel ? ports : 0);
-  std::vector<std::uint8_t> out_ports(kernel ? total : 0);
-  std::vector<SwitchRequest> req(kernel ? 0 : total);
+  std::vector<bits::Word> vc_words(ports);
+  std::vector<std::uint8_t> out_ports(total);
   std::vector<SwitchGrant> grant;
   BitMatrix port_req;
 
@@ -123,23 +103,15 @@ QualityResult measure_sa_quality(SwitchAllocator& alloc, double rate,
     // switch allocator (one grant per input port) can reach.
     port_req.resize(ports, ports);
     for (std::size_t i = 0; i < total; ++i) {
-      const bool valid = rng.next_bool(rate);
-      const int out_port = valid ? static_cast<int>(rng.next_below(ports)) : -1;
-      if (!kernel) {
-        req[i] = {valid, out_port};
-      } else if (valid) {
-        vc_words[i / vcs] |= bits::bit(i % vcs);
-        out_ports[i] = static_cast<std::uint8_t>(out_port);
-      }
-      if (valid) port_req.set(i / vcs, static_cast<std::size_t>(out_port));
+      if (!rng.next_bool(rate)) continue;
+      const std::size_t out_port = rng.next_below(ports);
+      vc_words[i / vcs] |= bits::bit(i % vcs);
+      out_ports[i] = static_cast<std::uint8_t>(out_port);
+      port_req.set(i / vcs, out_port);
     }
 
-    if (kernel) {
-      alloc.allocate_fast(vc_words.data(), out_ports.data(), grant);
-      std::fill(vc_words.begin(), vc_words.end(), bits::Word{0});
-    } else {
-      alloc.allocate(req, grant);
-    }
+    alloc.allocate_fast(vc_words.data(), out_ports.data(), grant);
+    std::fill(vc_words.begin(), vc_words.end(), bits::Word{0});
     for (const SwitchGrant& g : grant) {
       if (g.granted()) ++result.grants;
     }

@@ -8,14 +8,11 @@ void SaMaxSize::allocate(const std::vector<SwitchRequest>& req,
                          std::vector<SwitchGrant>& grant) {
   prepare(req, grant);
 
-  BitMatrix ports_req;
-  port_requests(req, ports_req);
-
-  BitMatrix ports_gnt;
-  MaxSizeAllocator::max_matching(ports_req, ports_gnt, reference_path_);
+  port_requests(req, ports_req_);
+  MaxSizeAllocator::max_matching(ports_req_, ports_gnt_, reference_path_);
 
   for (std::size_t p = 0; p < ports(); ++p) {
-    const int o = ports_gnt.row_single(p);
+    const int o = ports_gnt_.row_single(p);
     if (o < 0) continue;
     for (std::size_t v = 0; v < vcs(); ++v) {
       const SwitchRequest& r = req[p * vcs() + v];

@@ -7,23 +7,20 @@ namespace nocalloc {
 namespace {
 
 // Resolves devirtualized handles for a V:1-per-input / P:1-per-output arbiter
-// pair; false (leaving the vectors untouched beyond what was pushed) if any
-// arbiter is neither round-robin nor single-word matrix.
-bool resolve_sa_fast_arbiters(
+// pair. Every arbiter kind has a single-word pick, so this holds whenever
+// P, V <= 64.
+void resolve_sa_fast_arbiters(
     const std::vector<std::unique_ptr<Arbiter>>& vc_arb,
     const std::vector<std::unique_ptr<Arbiter>>& out_arb,
     std::vector<FastArb>& vc_fa, std::vector<FastArb>& out_fa) {
   for (const auto& a : vc_arb) {
-    const FastArb fa = FastArb::from(*a);
-    if (!fa.ok()) return false;
-    vc_fa.push_back(fa);
+    vc_fa.push_back(FastArb::from(*a));
+    NOCALLOC_CHECK(vc_fa.back().ok());
   }
   for (const auto& a : out_arb) {
-    const FastArb fa = FastArb::from(*a);
-    if (!fa.ok()) return false;
-    out_fa.push_back(fa);
+    out_fa.push_back(FastArb::from(*a));
+    NOCALLOC_CHECK(out_fa.back().ok());
   }
-  return true;
 }
 
 }  // namespace
@@ -39,21 +36,19 @@ SaSeparableInputFirst::SaSeparableInputFirst(std::size_t ports,
   out_bids_.resize(ports * bits::word_count(ports));
   out_any_.resize(bits::word_count(ports));
   port_vc_.resize(ports);
-  init_fast(arb);
+  init_fast();
 }
 
-void SaSeparableInputFirst::init_fast(ArbiterKind arb) {
-  static_cast<void>(arb);
+void SaSeparableInputFirst::init_fast() {
+  // Wider shapes have no word form and run allocate() only.
   if (vcs() > bits::kWordBits || ports() > bits::kWordBits) return;
-  if (!resolve_sa_fast_arbiters(vc_arb_, out_arb_, vc_fa_, out_fa_)) return;
+  resolve_sa_fast_arbiters(vc_arb_, out_arb_, vc_fa_, out_fa_);
   fast_bids_.assign(ports(), 0);
-  fast_ok_ = true;
 }
 
-void SaSeparableInputFirst::allocate_fast(const bits::Word* vc_words,
-                                          const std::uint8_t* out_ports,
-                                          std::vector<SwitchGrant>& grant) {
-  NOCALLOC_DCHECK(fast_ok_);
+void SaSeparableInputFirst::allocate_words(const bits::Word* vc_words,
+                                           const std::uint8_t* out_ports,
+                                           std::vector<SwitchGrant>& grant) {
   const std::size_t p_count = ports();
   const std::size_t v_count = vcs();
   grant.assign(p_count, SwitchGrant{});
@@ -188,16 +183,15 @@ SaSeparableOutputFirst::SaSeparableOutputFirst(std::size_t ports,
 }
 
 void SaSeparableOutputFirst::init_fast() {
+  // Wider shapes have no word form and run allocate() only.
   if (vcs() > bits::kWordBits || ports() > bits::kWordBits) return;
-  if (!resolve_sa_fast_arbiters(vc_arb_, out_arb_, vc_fa_, out_fa_)) return;
+  resolve_sa_fast_arbiters(vc_arb_, out_arb_, vc_fa_, out_fa_);
   fast_cols_.assign(ports(), 0);
-  fast_ok_ = true;
 }
 
-void SaSeparableOutputFirst::allocate_fast(const bits::Word* vc_words,
-                                           const std::uint8_t* out_ports,
-                                           std::vector<SwitchGrant>& grant) {
-  NOCALLOC_DCHECK(fast_ok_);
+void SaSeparableOutputFirst::allocate_words(const bits::Word* vc_words,
+                                            const std::uint8_t* out_ports,
+                                            std::vector<SwitchGrant>& grant) {
   const std::size_t p_count = ports();
   const std::size_t v_count = vcs();
   grant.assign(p_count, SwitchGrant{});

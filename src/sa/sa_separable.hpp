@@ -20,16 +20,6 @@ class SaSeparableInputFirst final : public SwitchAllocator {
  public:
   SaSeparableInputFirst(std::size_t ports, std::size_t vcs, ArbiterKind arb);
 
-  /// True when allocate_fast() is available: round-robin or matrix arbiters
-  /// with V and P each fitting one lane word.
-  bool fast_ready() const override { return fast_ok_; }
-
-  /// Sparse single-word variant of the word-parallel fast path, bit-identical
-  /// to allocate() in grants and arbiter state; see
-  /// SwitchAllocator::allocate_fast for the contract.
-  void allocate_fast(const bits::Word* vc_words, const std::uint8_t* out_ports,
-                     std::vector<SwitchGrant>& grant) override;
-
   void allocate(const std::vector<SwitchRequest>& req,
                 std::vector<SwitchGrant>& grant) override;
   void reset() override;
@@ -43,11 +33,15 @@ class SaSeparableInputFirst final : public SwitchAllocator {
   }
 
  private:
+  /// Sparse single-word kernel, bit-identical to allocate() in grants and
+  /// arbiter state; see SwitchAllocator::allocate_fast for the contract.
+  void allocate_words(const bits::Word* vc_words, const std::uint8_t* out_ports,
+                      std::vector<SwitchGrant>& grant) override;
   void allocate_mask(const std::vector<SwitchRequest>& req,
                      std::vector<SwitchGrant>& grant);
   void allocate_ref(const std::vector<SwitchRequest>& req,
                     std::vector<SwitchGrant>& grant);
-  void init_fast(ArbiterKind arb);
+  void init_fast();
 
   std::vector<std::unique_ptr<Arbiter>> vc_arb_;   // per input port, width V
   std::vector<std::unique_ptr<Arbiter>> out_arb_;  // per output port, width P
@@ -57,9 +51,8 @@ class SaSeparableInputFirst final : public SwitchAllocator {
   std::vector<bits::Word> out_bids_;
   std::vector<bits::Word> out_any_;
   std::vector<int> port_vc_;
-  // Fast-path caches: devirtualized arbiter handles and single-word bid
-  // masks per output port.
-  bool fast_ok_ = false;
+  // Word-kernel caches (built only when P, V <= 64): devirtualized arbiter
+  // handles and single-word bid masks per output port.
   std::vector<FastArb> vc_fa_;         // [p]
   std::vector<FastArb> out_fa_;        // [o]
   std::vector<bits::Word> fast_bids_;  // [o], P-wide
@@ -68,17 +61,6 @@ class SaSeparableInputFirst final : public SwitchAllocator {
 class SaSeparableOutputFirst final : public SwitchAllocator {
  public:
   SaSeparableOutputFirst(std::size_t ports, std::size_t vcs, ArbiterKind arb);
-
-  /// True when allocate_fast() is available: round-robin or matrix arbiters
-  /// with V and P each fitting one lane word.
-  bool fast_ready() const override { return fast_ok_; }
-
-  /// Sparse single-word sep_of kernel: per-output union columns arbitrate
-  /// first (all picks pure), then each winning input port's V:1 arbiter
-  /// chooses among VCs whose output chose it, updating priorities exactly as
-  /// allocate_mask does. See SwitchAllocator::allocate_fast for the contract.
-  void allocate_fast(const bits::Word* vc_words, const std::uint8_t* out_ports,
-                     std::vector<SwitchGrant>& grant) override;
 
   void allocate(const std::vector<SwitchRequest>& req,
                 std::vector<SwitchGrant>& grant) override;
@@ -93,6 +75,12 @@ class SaSeparableOutputFirst final : public SwitchAllocator {
   }
 
  private:
+  /// Sparse single-word sep_of kernel: per-output union columns arbitrate
+  /// first (all picks pure), then each winning input port's V:1 arbiter
+  /// chooses among VCs whose output chose it, updating priorities exactly as
+  /// allocate_mask does. See SwitchAllocator::allocate_fast for the contract.
+  void allocate_words(const bits::Word* vc_words, const std::uint8_t* out_ports,
+                      std::vector<SwitchGrant>& grant) override;
   void allocate_mask(const std::vector<SwitchRequest>& req,
                      std::vector<SwitchGrant>& grant);
   void allocate_ref(const std::vector<SwitchRequest>& req,
@@ -108,9 +96,8 @@ class SaSeparableOutputFirst final : public SwitchAllocator {
   std::vector<bits::Word> port_won_;
   std::vector<bits::Word> vc_cand_;
   std::vector<int> out_choice_;
-  // Fast-path caches: devirtualized arbiter handles and single-word union
-  // columns per output port.
-  bool fast_ok_ = false;
+  // Word-kernel caches (built only when P, V <= 64): devirtualized arbiter
+  // handles and single-word union columns per output port.
   std::vector<FastArb> out_fa_;        // [o]
   std::vector<FastArb> vc_fa_;         // [p]
   std::vector<bits::Word> fast_cols_;  // [o], P-wide

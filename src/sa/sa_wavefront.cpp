@@ -14,22 +14,20 @@ SaWavefront::SaWavefront(std::size_t ports, std::size_t vcs,
 }
 
 void SaWavefront::init_fast() {
+  // Wider shapes have no word form and run allocate() only.
   if (vcs() > bits::kWordBits || ports() > bits::kWordBits) return;
   for (const auto& a : presel_) {
-    const FastArb fa = FastArb::from(*a);
-    if (!fa.ok()) return;
-    presel_fa_.push_back(fa);
+    presel_fa_.push_back(FastArb::from(*a));
+    NOCALLOC_CHECK(presel_fa_.back().ok());
   }
   fast_cells_.reserve(ports() * ports());
   fast_granted_.reserve(ports());
   core_.reserve_sparse(ports() * ports());
-  fast_ok_ = true;
 }
 
-void SaWavefront::allocate_fast(const bits::Word* vc_words,
-                                const std::uint8_t* out_ports,
-                                std::vector<SwitchGrant>& grant) {
-  NOCALLOC_DCHECK(fast_ok_);
+void SaWavefront::allocate_words(const bits::Word* vc_words,
+                                 const std::uint8_t* out_ports,
+                                 std::vector<SwitchGrant>& grant) {
   const std::size_t p_count = ports();
   const std::size_t v_count = vcs();
   grant.assign(p_count, SwitchGrant{});

@@ -18,17 +18,6 @@ class SaWavefront final : public SwitchAllocator {
  public:
   SaWavefront(std::size_t ports, std::size_t vcs, ArbiterKind presel_arb);
 
-  /// True when allocate_fast() is available: V and P each fit one lane word
-  /// and the pre-selection arbiters are round-robin or matrix.
-  bool fast_ready() const override { return fast_ok_; }
-
-  /// Sparse kernel: per-port union output sets become (port, output) cells
-  /// for one WavefrontAllocator::allocate_sparse pass; granted pairs then run
-  /// their pre-selection arbiter over the rebuilt VC candidates. Bit-identical
-  /// to allocate(); see SwitchAllocator::allocate_fast for the contract.
-  void allocate_fast(const bits::Word* vc_words, const std::uint8_t* out_ports,
-                     std::vector<SwitchGrant>& grant) override;
-
   void allocate(const std::vector<SwitchRequest>& req,
                 std::vector<SwitchGrant>& grant) override;
   void reset() override;
@@ -49,6 +38,12 @@ class SaWavefront final : public SwitchAllocator {
   }
 
  private:
+  /// Sparse kernel: per-port union output sets become (port, output) cells
+  /// for one WavefrontAllocator::allocate_sparse pass; granted pairs then run
+  /// their pre-selection arbiter over the rebuilt VC candidates. Bit-identical
+  /// to allocate(); see SwitchAllocator::allocate_fast for the contract.
+  void allocate_words(const bits::Word* vc_words, const std::uint8_t* out_ports,
+                      std::vector<SwitchGrant>& grant) override;
   void init_fast();
 
   WavefrontAllocator core_;
@@ -56,9 +51,9 @@ class SaWavefront final : public SwitchAllocator {
   // presel_[p * P + o]: V:1 arbiter pre-selecting the VC used when input
   // port p is granted output port o.
   std::vector<std::unique_ptr<Arbiter>> presel_;
-  // Fast-path caches: devirtualized pre-selection handles and the sparse
-  // request-cell / granted-cell scratch fed to the core.
-  bool fast_ok_ = false;
+  // Word-kernel caches (built only when P, V <= 64): devirtualized
+  // pre-selection handles and the sparse request-cell / granted-cell scratch
+  // fed to the core.
   std::vector<FastArb> presel_fa_;  // [p * P + o]
   std::vector<WavefrontAllocator::SparseCell> fast_cells_;
   std::vector<WavefrontAllocator::SparseCell> fast_granted_;

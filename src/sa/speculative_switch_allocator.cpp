@@ -20,18 +20,40 @@ SpeculativeSwitchAllocator::SpeculativeSwitchAllocator(
     const SwitchAllocatorConfig& cfg, SpecMode mode)
     : mode_(mode),
       nonspec_(make_switch_allocator(cfg)),
-      spec_(make_switch_allocator(cfg)) {
+      spec_(make_switch_allocator(cfg)),
+      ns_req_(cfg.ports * cfg.vcs),
+      sp_req_(cfg.ports * cfg.vcs) {
   NOCALLOC_CHECK(mode != SpecMode::kNonSpeculative);
 }
 
-bool SpeculativeSwitchAllocator::fast_ready() const {
-  return nonspec_->fast_ready() && spec_->fast_ready();
+void SpeculativeSwitchAllocator::allocate_via_vectors(
+    const bits::Word* ns_words, const std::uint8_t* ns_out,
+    const bits::Word* sp_words, const std::uint8_t* sp_out,
+    std::vector<SpecSwitchGrant>& grant) {
+  const std::size_t v_count = vcs();
+  auto expand = [&](const bits::Word* words, const std::uint8_t* out,
+                    std::vector<SwitchRequest>& req, bool valid) {
+    for (std::size_t p = 0; p < ports(); ++p) {
+      bits::for_each_set(&words[p], 1, [&](std::size_t v) {
+        req[p * v_count + v] = {valid, out[p * v_count + v]};
+      });
+    }
+  };
+  expand(ns_words, ns_out, ns_req_, true);
+  expand(sp_words, sp_out, sp_req_, true);
+  allocate(ns_req_, sp_req_, grant);
+  expand(ns_words, ns_out, ns_req_, false);
+  expand(sp_words, sp_out, sp_req_, false);
 }
 
 void SpeculativeSwitchAllocator::allocate_fast(
     const bits::Word* ns_words, const std::uint8_t* ns_out,
     const bits::Word* sp_words, const std::uint8_t* sp_out,
     std::vector<SpecSwitchGrant>& grant) {
+  if (nonspec_->reference_path()) {
+    allocate_via_vectors(ns_words, ns_out, sp_words, sp_out, grant);
+    return;
+  }
   const std::size_t p_count = ports();
   const std::size_t v_count = vcs();
   grant.assign(p_count, SpecSwitchGrant{});

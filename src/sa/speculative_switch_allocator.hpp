@@ -66,14 +66,13 @@ class SpeculativeSwitchAllocator {
                 const std::vector<SwitchRequest>& spec_req,
                 std::vector<SpecSwitchGrant>& grant);
 
-  /// True when allocate_fast() is available: both internal allocators expose
-  /// a single-word fast path (any separable or wavefront family).
-  bool fast_ready() const;
-
-  /// Sparse single-word variant of allocate(), bit-identical in grants,
-  /// arbiter state, and the masked-grant counter. The word/out_port pairs
-  /// use the layout of SwitchAllocator::allocate_fast; the conflict-masking
-  /// policy is independent of the underlying allocator kind.
+  /// One allocation cycle in word form -- the entry point the router calls.
+  /// The word/out_port pairs use the layout of
+  /// SwitchAllocator::allocate_fast. Bit-identical to allocate() in grants,
+  /// arbiter state and the masked-grant counter; the conflict-masking policy
+  /// is independent of the underlying allocator kind. On the reference path
+  /// the words are expanded into vectors and allocate() runs, so the
+  /// byte-flag masking below is the oracle of the word masking.
   void allocate_fast(const bits::Word* ns_words, const std::uint8_t* ns_out,
                      const bits::Word* sp_words, const std::uint8_t* sp_out,
                      std::vector<SpecSwitchGrant>& grant);
@@ -111,6 +110,13 @@ class SpeculativeSwitchAllocator {
   }
 
  private:
+  /// Word-to-vector adapter behind allocate_fast() on the reference path.
+  void allocate_via_vectors(const bits::Word* ns_words,
+                            const std::uint8_t* ns_out,
+                            const bits::Word* sp_words,
+                            const std::uint8_t* sp_out,
+                            std::vector<SpecSwitchGrant>& grant);
+
   SpecMode mode_;
   std::unique_ptr<SwitchAllocator> nonspec_;
   std::unique_ptr<SwitchAllocator> spec_;
@@ -121,6 +127,10 @@ class SpeculativeSwitchAllocator {
   std::vector<SwitchGrant> sp_gnt_;
   std::vector<std::uint8_t> row_busy_;
   std::vector<std::uint8_t> col_busy_;
+  // allocate_via_vectors() scratch, sized at construction; entries are
+  // invalidated after each call.
+  std::vector<SwitchRequest> ns_req_;
+  std::vector<SwitchRequest> sp_req_;
 };
 
 }  // namespace nocalloc

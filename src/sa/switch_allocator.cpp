@@ -6,13 +6,20 @@
 
 namespace nocalloc {
 
-void SwitchAllocator::allocate_fast(const bits::Word* vc_words,
-                                    const std::uint8_t* out_ports,
-                                    std::vector<SwitchGrant>& grant) {
-  static_cast<void>(vc_words);
-  static_cast<void>(out_ports);
-  static_cast<void>(grant);
-  NOCALLOC_CHECK(false && "allocate_fast called without fast_ready()");
+void SwitchAllocator::allocate_via_vectors(const bits::Word* vc_words,
+                                           const std::uint8_t* out_ports,
+                                           std::vector<SwitchGrant>& grant) {
+  for (std::size_t p = 0; p < ports_; ++p) {
+    bits::for_each_set(&vc_words[p], 1, [&](std::size_t v) {
+      adapter_req_[p * vcs_ + v] = {true, out_ports[p * vcs_ + v]};
+    });
+  }
+  allocate(adapter_req_, grant);
+  for (std::size_t p = 0; p < ports_; ++p) {
+    bits::for_each_set(&vc_words[p], 1, [&](std::size_t v) {
+      adapter_req_[p * vcs_ + v].valid = false;
+    });
+  }
 }
 
 void SwitchAllocator::prepare(const std::vector<SwitchRequest>& req,

@@ -33,7 +33,7 @@ struct SwitchGrant {
 class SwitchAllocator {
  public:
   SwitchAllocator(std::size_t ports, std::size_t vcs)
-      : ports_(ports), vcs_(vcs) {}
+      : ports_(ports), vcs_(vcs), adapter_req_(ports * vcs) {}
   virtual ~SwitchAllocator() = default;
 
   std::size_t ports() const { return ports_; }
@@ -47,20 +47,22 @@ class SwitchAllocator {
   virtual void allocate(const std::vector<SwitchRequest>& req,
                         std::vector<SwitchGrant>& grant) = 0;
 
-  /// True when allocate_fast() is available for this instance: the
-  /// architecture has a sparse single-word kernel and the configured
-  /// dimensions/arbiters admit it. Default: no fast path.
-  virtual bool fast_ready() const { return false; }
-
-  /// Sparse single-word variant of one allocate() call, bit-identical to it
-  /// in grants and priority-state evolution (including rotating-priority
-  /// architectures). `vc_words[p]` holds input port p's requesting-VC mask;
-  /// `out_ports[p * V + v]` the requested output port of every set bit.
-  /// `grant` is fully rewritten (one entry per port). Must only be called
-  /// when fast_ready() is true.
-  virtual void allocate_fast(const bits::Word* vc_words,
-                             const std::uint8_t* out_ports,
-                             std::vector<SwitchGrant>& grant);
+  /// One cycle of switch allocation in word form -- the entry point the
+  /// router and the quality sweeps call. `vc_words[p]` holds input port p's
+  /// requesting-VC mask (V <= 64), `out_ports[p * V + v]` the requested
+  /// output port of every set bit; `grant` is fully rewritten (one entry per
+  /// port). Grants and priority-state evolution equal one allocate() call on
+  /// the same requests. Runs the architecture's word kernel, or, on the
+  /// reference path, the byte-loop oracle through allocate().
+  void allocate_fast(const bits::Word* vc_words, const std::uint8_t* out_ports,
+                     std::vector<SwitchGrant>& grant) {
+    NOCALLOC_DCHECK(vcs_ <= bits::kWordBits && ports_ <= bits::kWordBits);
+    if (reference_path_) {
+      allocate_via_vectors(vc_words, out_ports, grant);
+    } else {
+      allocate_words(vc_words, out_ports, grant);
+    }
+  }
 
   virtual void reset() = 0;
 
@@ -91,11 +93,30 @@ class SwitchAllocator {
   void port_requests(const std::vector<SwitchRequest>& req,
                      BitMatrix& out) const;
 
+  /// The word kernel behind allocate_fast(), same contract. Architectures
+  /// with a sparse single-word kernel override it; the default is
+  /// allocate_via_vectors(), so maximum-size and test doubles run their
+  /// allocate() unchanged.
+  virtual void allocate_words(const bits::Word* vc_words,
+                              const std::uint8_t* out_ports,
+                              std::vector<SwitchGrant>& grant) {
+    allocate_via_vectors(vc_words, out_ports, grant);
+  }
+
+  /// Word-to-vector adapter: expands the words into member scratch and
+  /// calls allocate(), which rewrites `grant`.
+  void allocate_via_vectors(const bits::Word* vc_words,
+                            const std::uint8_t* out_ports,
+                            std::vector<SwitchGrant>& grant);
+
   bool reference_path_ = false;
 
  private:
   std::size_t ports_;
   std::size_t vcs_;
+  // allocate_via_vectors() scratch, sized at construction; entries are
+  // invalidated after each call.
+  std::vector<SwitchRequest> adapter_req_;
 };
 
 struct SwitchAllocatorConfig {

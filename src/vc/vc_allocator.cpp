@@ -6,12 +6,31 @@
 
 namespace nocalloc {
 
-void VcAllocator::allocate_fast(const FastVcRequest* req, std::size_t n,
-                                std::vector<int>& grant) {
-  static_cast<void>(req);
-  static_cast<void>(n);
-  static_cast<void>(grant);
-  NOCALLOC_CHECK(false && "allocate_fast called without fast_ready()");
+void VcAllocator::reserve_adapter() {
+  if (!adapter_req_.empty()) return;
+  adapter_req_.resize(total());
+  for (VcRequest& r : adapter_req_) r.vc_mask.assign(vcs_, 0);
+  adapter_grant_.assign(total(), -1);
+}
+
+void VcAllocator::allocate_via_vectors(const FastVcRequest* req, std::size_t n,
+                                       std::vector<int>& grant) {
+  reserve_adapter();
+  for (std::size_t k = 0; k < n; ++k) {
+    VcRequest& r = adapter_req_[req[k].input];
+    r.valid = true;
+    r.out_port = static_cast<int>(req[k].out_port);
+    for (std::size_t v = 0; v < vcs_; ++v) {
+      r.vc_mask[v] = static_cast<std::uint8_t>((req[k].vc_mask >> v) & 1);
+    }
+  }
+  allocate(adapter_req_, adapter_grant_);
+  // Every granted entry is copied, not only requested ones, so a grant
+  // without a request stays visible to the router's invariant checker.
+  for (std::size_t i = 0; i < adapter_grant_.size(); ++i) {
+    if (adapter_grant_[i] >= 0) grant[i] = adapter_grant_[i];
+  }
+  for (std::size_t k = 0; k < n; ++k) adapter_req_[req[k].input].valid = false;
 }
 
 void VcAllocator::prepare(const std::vector<VcRequest>& req,

@@ -29,7 +29,7 @@ struct VcRequest {
   ReqVector vc_mask;    // V-wide candidate mask over out_port's VCs
 };
 
-/// One waiting head's request on the router's sparse fast path:
+/// One waiting head's request in word form (VcAllocator::allocate_fast):
 /// input VC index, destination port, and the candidate mask packed into a
 /// single word (V <= 64). A zero mask is a valid entry (all candidate VCs
 /// taken) and grants nothing, exactly like a valid VcRequest with an empty
@@ -58,19 +58,24 @@ class VcAllocator {
   virtual void allocate(const std::vector<VcRequest>& req,
                         std::vector<int>& grant) = 0;
 
-  /// True when allocate_fast() is available for this instance: the
-  /// architecture has a sparse single-word kernel and the configured
-  /// dimensions/arbiters admit it. Default: no fast path.
-  virtual bool fast_ready() const { return false; }
-
-  /// Sparse single-word variant of one allocate() call, bit-identical in
-  /// grants and priority-state evolution (including rotating-priority
-  /// architectures, which advance exactly as one allocate() would).
-  /// Contract: `grant` is all -1 on entry (the caller clears the entries it
-  /// reads back), requests are ascending by input index, and only granted
-  /// entries are written. Must only be called when fast_ready() is true.
-  virtual void allocate_fast(const FastVcRequest* req, std::size_t n,
-                             std::vector<int>& grant);
+  /// One cycle of VC allocation in word form -- the entry point the router
+  /// and the quality sweeps call. `req` lists the requesting input VCs in
+  /// ascending input order with single-word candidate masks (V <= 64);
+  /// `grant` has one entry per input VC, is all -1 on entry (the caller
+  /// clears the entries it reads back), and only granted entries are
+  /// written. Grants and priority-state evolution equal one allocate() call
+  /// on the same requests (rotating-priority architectures advance exactly
+  /// once). Runs the architecture's word kernel, or, on the reference path,
+  /// the byte-loop oracle through allocate().
+  void allocate_fast(const FastVcRequest* req, std::size_t n,
+                     std::vector<int>& grant) {
+    NOCALLOC_DCHECK(vcs_ <= bits::kWordBits && grant.size() == total());
+    if (reference_path_) {
+      allocate_via_vectors(req, n, grant);
+    } else {
+      allocate_words(req, n, grant);
+    }
+  }
 
   /// Resets priority state.
   virtual void reset() = 0;
@@ -84,7 +89,10 @@ class VcAllocator {
 
   /// Selects the byte-loop reference implementation over the word-parallel
   /// fast path; see Allocator::set_reference_path for the contract.
-  virtual void set_reference_path(bool ref) { reference_path_ = ref; }
+  virtual void set_reference_path(bool ref) {
+    reference_path_ = ref;
+    if (ref) reserve_adapter();
+  }
   bool reference_path() const { return reference_path_; }
 
   /// Serializes / restores priority state for warm snapshot/restore; see
@@ -100,11 +108,37 @@ class VcAllocator {
   /// Expands per-input-VC requests into a (P*V) x (P*V) request matrix.
   void expand_requests(const std::vector<VcRequest>& req, BitMatrix& out) const;
 
+  /// The word kernel behind allocate_fast(), same contract. Architectures
+  /// with a sparse single-word kernel override it; the default is
+  /// allocate_via_vectors(), so maximum-size and test doubles run their
+  /// allocate() unchanged.
+  virtual void allocate_words(const FastVcRequest* req, std::size_t n,
+                              std::vector<int>& grant) {
+    allocate_via_vectors(req, n, grant);
+  }
+
+  /// Word-to-vector adapter: expands the requests into member scratch,
+  /// calls allocate(), and writes back only the granted entries (so the
+  /// all -1 contract holds for every input VC that was not granted).
+  void allocate_via_vectors(const FastVcRequest* req, std::size_t n,
+                            std::vector<int>& grant);
+
+  /// Sizes the adapter scratch once. Every VcRequest carries its own
+  /// V-byte mask, so allocators that never run the adapter do not pay for
+  /// it: it is sized when the reference path is selected, by allocators
+  /// that always run behind the adapter (maximum-size), and otherwise (test
+  /// doubles) on first use.
+  void reserve_adapter();
+
   bool reference_path_ = false;
 
  private:
   std::size_t ports_;
   std::size_t vcs_;
+  // allocate_via_vectors() scratch (see reserve_adapter()); entries are
+  // invalidated after each call.
+  std::vector<VcRequest> adapter_req_;
+  std::vector<int> adapter_grant_;
 };
 
 /// Configuration for a VC allocator instance. The partition is carried along

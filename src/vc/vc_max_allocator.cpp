@@ -7,11 +7,9 @@ namespace nocalloc {
 void VcMaxSizeAllocator::allocate(const std::vector<VcRequest>& req,
                                   std::vector<int>& grant) {
   prepare(req, grant);
-  BitMatrix full;
-  expand_requests(req, full);
-  BitMatrix gnt;
-  MaxSizeAllocator::max_matching(full, gnt, reference_path_);
-  for (std::size_t i = 0; i < total(); ++i) grant[i] = gnt.row_single(i);
+  expand_requests(req, full_);
+  MaxSizeAllocator::max_matching(full_, gnt_, reference_path_);
+  for (std::size_t i = 0; i < total(); ++i) grant[i] = gnt_.row_single(i);
 }
 
 }  // namespace nocalloc

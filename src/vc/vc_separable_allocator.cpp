@@ -7,11 +7,10 @@
 namespace nocalloc {
 namespace {
 
-/// Resolves the devirtualized handles a separable fast path needs: one per
-/// input VC plus both levels of every output tree arbiter. Returns false
-/// (leaving the vectors in an unusable state) when any arbiter lacks a
-/// single-word kernel.
-bool resolve_fast_arbiters(
+/// Resolves the devirtualized handles the separable word kernels need: one
+/// per input VC plus both levels of every output tree arbiter. Every arbiter
+/// kind has a single-word pick, so this holds whenever P, V <= 64.
+void resolve_fast_arbiters(
     const std::vector<std::unique_ptr<Arbiter>>& input_arb,
     const std::vector<std::unique_ptr<Arbiter>>& output_arb, std::size_t ports,
     std::vector<FastArb>& in_fa, std::vector<FastArb>& out_top_fa,
@@ -21,19 +20,18 @@ bool resolve_fast_arbiters(
   out_local_fa.reserve(output_arb.size() * ports);
   for (const auto& a : input_arb) {
     in_fa.push_back(FastArb::from(*a));
-    if (!in_fa.back().ok()) return false;
+    NOCALLOC_CHECK(in_fa.back().ok());
   }
   for (const auto& a : output_arb) {
     auto* tree = dynamic_cast<TreeArbiter*>(a.get());
-    if (tree == nullptr) return false;
+    NOCALLOC_CHECK(tree != nullptr);
     out_top_fa.push_back(FastArb::from(tree->top()));
-    if (!out_top_fa.back().ok()) return false;
+    NOCALLOC_CHECK(out_top_fa.back().ok());
     for (std::size_t g = 0; g < ports; ++g) {
       out_local_fa.push_back(FastArb::from(tree->local(g)));
-      if (!out_local_fa.back().ok()) return false;
+      NOCALLOC_CHECK(out_local_fa.back().ok());
     }
   }
-  return true;
 }
 
 }  // namespace
@@ -48,26 +46,22 @@ VcSeparableInputFirstAllocator::VcSeparableInputFirstAllocator(
   in_mask_.resize(bits::word_count(vcs));
   bids_.resize(total() * bits::word_count(total()));
   out_any_.resize(bits::word_count(total()));
-  init_fast(arb);
+  init_fast();
 }
 
-void VcSeparableInputFirstAllocator::init_fast(ArbiterKind arb) {
-  static_cast<void>(arb);
+void VcSeparableInputFirstAllocator::init_fast() {
+  // Wider shapes have no word form and run allocate() only.
   if (vcs() > bits::kWordBits || ports() > bits::kWordBits) return;
-  if (!resolve_fast_arbiters(input_arb_, output_arb_, ports(), in_fa_,
-                             out_top_fa_, out_local_fa_)) {
-    return;
-  }
+  resolve_fast_arbiters(input_arb_, output_arb_, ports(), in_fa_, out_top_fa_,
+                        out_local_fa_);
   fast_bids_.assign(total() * ports(), 0);
   fast_port_any_.assign(total(), 0);
   fast_touched_.reserve(total());
-  fast_ok_ = true;
 }
 
-void VcSeparableInputFirstAllocator::allocate_fast(const FastVcRequest* req,
-                                                   std::size_t n,
-                                                   std::vector<int>& grant) {
-  NOCALLOC_DCHECK(fast_ok_ && grant.size() == total());
+void VcSeparableInputFirstAllocator::allocate_words(const FastVcRequest* req,
+                                                    std::size_t n,
+                                                    std::vector<int>& grant) {
   const std::size_t p_count = ports();
   const std::size_t v_count = vcs();
 
@@ -207,23 +201,20 @@ VcSeparableOutputFirstAllocator::VcSeparableOutputFirstAllocator(
 }
 
 void VcSeparableOutputFirstAllocator::init_fast() {
+  // Wider shapes have no word form and run allocate() only.
   if (vcs() > bits::kWordBits || ports() > bits::kWordBits) return;
-  if (!resolve_fast_arbiters(input_arb_, output_arb_, ports(), in_fa_,
-                             out_top_fa_, out_local_fa_)) {
-    return;
-  }
+  resolve_fast_arbiters(input_arb_, output_arb_, ports(), in_fa_, out_top_fa_,
+                        out_local_fa_);
   fast_bids_.assign(total() * ports(), 0);
   fast_port_any_.assign(total(), 0);
   fast_offered_.assign(total(), 0);
   fast_touched_.reserve(total());
   fast_winners_.reserve(total());
-  fast_ok_ = true;
 }
 
-void VcSeparableOutputFirstAllocator::allocate_fast(const FastVcRequest* req,
-                                                    std::size_t n,
-                                                    std::vector<int>& grant) {
-  NOCALLOC_DCHECK(fast_ok_ && grant.size() == total());
+void VcSeparableOutputFirstAllocator::allocate_words(const FastVcRequest* req,
+                                                     std::size_t n,
+                                                     std::vector<int>& grant) {
   const std::size_t p_count = ports();
   const std::size_t v_count = vcs();
 

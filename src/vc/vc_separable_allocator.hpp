@@ -22,20 +22,6 @@ class VcSeparableInputFirstAllocator final : public VcAllocator {
   VcSeparableInputFirstAllocator(std::size_t ports, std::size_t vcs,
                                  ArbiterKind arb);
 
-  /// Historical name of the sparse fast-path request, now shared by every
-  /// VC-allocator family at namespace scope.
-  using FastRequest = FastVcRequest;
-
-  /// True when allocate_fast() is available: round-robin or matrix arbiters
-  /// with V and P each fitting one lane word.
-  bool fast_ready() const override { return fast_ok_; }
-
-  /// Sparse single-word variant of the word-parallel fast path, bit-identical
-  /// to allocate() in grants and arbiter state evolution; see
-  /// VcAllocator::allocate_fast for the contract.
-  void allocate_fast(const FastVcRequest* req, std::size_t n,
-                     std::vector<int>& grant) override;
-
   void allocate(const std::vector<VcRequest>& req,
                 std::vector<int>& grant) override;
   void reset() override;
@@ -49,9 +35,14 @@ class VcSeparableInputFirstAllocator final : public VcAllocator {
   }
 
  private:
+  /// Sparse single-word kernel, bit-identical to allocate() in grants and
+  /// arbiter state evolution; see VcAllocator::allocate_fast.
+  void allocate_words(const FastVcRequest* req, std::size_t n,
+                      std::vector<int>& grant) override;
+
   void allocate_mask(const std::vector<VcRequest>& req, std::vector<int>& grant);
   void allocate_ref(const std::vector<VcRequest>& req, std::vector<int>& grant);
-  void init_fast(ArbiterKind arb);
+  void init_fast();
 
   std::vector<std::unique_ptr<Arbiter>> input_arb_;   // per input VC, width V
   std::vector<std::unique_ptr<Arbiter>> output_arb_;  // per output VC, width P*V
@@ -60,11 +51,10 @@ class VcSeparableInputFirstAllocator final : public VcAllocator {
   std::vector<bits::Word> in_mask_;
   std::vector<bits::Word> bids_;
   std::vector<bits::Word> out_any_;
-  // Fast-path caches: devirtualized handles for the arbiters behind
-  // input_arb_ and both levels of each output tree arbiter, plus
-  // per-output-VC bid state kept as one V-wide word per input port (the
-  // tree's group slices).
-  bool fast_ok_ = false;
+  // Word-kernel caches (built only when P, V <= 64): devirtualized handles
+  // for the arbiters behind input_arb_ and both levels of each output tree
+  // arbiter, plus per-output-VC bid state kept as one V-wide word per input
+  // port (the tree's group slices).
   std::vector<FastArb> in_fa_;         // [i]
   std::vector<FastArb> out_top_fa_;    // [o]
   std::vector<FastArb> out_local_fa_;  // [o * P + p]
@@ -78,18 +68,6 @@ class VcSeparableOutputFirstAllocator final : public VcAllocator {
   VcSeparableOutputFirstAllocator(std::size_t ports, std::size_t vcs,
                                   ArbiterKind arb);
 
-  /// True when allocate_fast() is available: round-robin or matrix arbiters
-  /// with V and P each fitting one lane word.
-  bool fast_ready() const override { return fast_ok_; }
-
-  /// Sparse single-word sep_of kernel: all stage-1 output-side tree picks
-  /// run first (pure), then each input VC that won arbitrates among its
-  /// offered output VCs and only then are priorities updated -- the exact
-  /// structure (and state evolution) of allocate_mask. See
-  /// VcAllocator::allocate_fast for the contract.
-  void allocate_fast(const FastVcRequest* req, std::size_t n,
-                     std::vector<int>& grant) override;
-
   void allocate(const std::vector<VcRequest>& req,
                 std::vector<int>& grant) override;
   void reset() override;
@@ -103,6 +81,14 @@ class VcSeparableOutputFirstAllocator final : public VcAllocator {
   }
 
  private:
+  /// Sparse single-word sep_of kernel: all stage-1 output-side tree picks
+  /// run first (pure), then each input VC that won arbitrates among its
+  /// offered output VCs and only then are priorities updated -- the exact
+  /// structure (and state evolution) of allocate_mask. See
+  /// VcAllocator::allocate_fast.
+  void allocate_words(const FastVcRequest* req, std::size_t n,
+                      std::vector<int>& grant) override;
+
   void allocate_mask(const std::vector<VcRequest>& req, std::vector<int>& grant);
   void allocate_ref(const std::vector<VcRequest>& req, std::vector<int>& grant);
   void init_fast();
@@ -117,14 +103,14 @@ class VcSeparableOutputFirstAllocator final : public VcAllocator {
   std::vector<bits::Word> in_won_;
   std::vector<bits::Word> offered_;
   std::vector<int> output_choice_;
-  // Fast-path caches: devirtualized arbiter handles, per-output-VC bid words
-  // (tree group slices), the per-input offered-VC word, and the stage-1
-  // winner list carrying each winning input's destination port.
+  // Word-kernel caches (built only when P, V <= 64): devirtualized arbiter
+  // handles, per-output-VC bid words (tree group slices), the per-input
+  // offered-VC word, and the stage-1 winner list carrying each winning
+  // input's destination port.
   struct FastWinner {
     std::uint32_t input = 0;
     std::uint32_t out_port = 0;
   };
-  bool fast_ok_ = false;
   std::vector<FastArb> in_fa_;         // [i]
   std::vector<FastArb> out_top_fa_;    // [o]
   std::vector<FastArb> out_local_fa_;  // [o * P + p]

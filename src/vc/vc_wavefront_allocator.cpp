@@ -18,7 +18,7 @@ VcWavefrontAllocator::VcWavefrontAllocator(std::size_t ports,
     cores_.push_back(std::make_unique<WavefrontAllocator>(total(), total()));
   }
   fast_cells_.resize(cores_.size());
-  if (fast_ready()) {
+  if (vcs() <= bits::kWordBits) {
     // A router's request names at most one VC class (vcs_per_class
     // candidates) per waiting input VC, so this bounds a core's cells per
     // call and keeps the router's kernel path allocation-free. Wider
@@ -33,10 +33,9 @@ VcWavefrontAllocator::VcWavefrontAllocator(std::size_t ports,
   }
 }
 
-void VcWavefrontAllocator::allocate_fast(const FastVcRequest* req,
-                                         std::size_t n,
-                                         std::vector<int>& grant) {
-  NOCALLOC_DCHECK(fast_ready() && grant.size() == total());
+void VcWavefrontAllocator::allocate_words(const FastVcRequest* req,
+                                          std::size_t n,
+                                          std::vector<int>& grant) {
   const std::size_t v_count = vcs();
   const std::size_t span =
       sparse_ ? partition_.resource_classes() * partition_.vcs_per_class()

@@ -22,18 +22,6 @@ class VcWavefrontAllocator final : public VcAllocator {
   VcWavefrontAllocator(std::size_t ports, const VcPartition& partition,
                        bool sparse);
 
-  /// True when allocate_fast() is available: the per-request candidate mask
-  /// must fit one lane word.
-  bool fast_ready() const override { return vcs() <= bits::kWordBits; }
-
-  /// Sparse single-call kernel: requests become (row, column) cells of their
-  /// message class's block and each core runs one wave-bucketed
-  /// WavefrontAllocator::allocate_sparse pass -- every core exactly once per
-  /// call, so all diagonals rotate as one dense allocate() would. See
-  /// VcAllocator::allocate_fast for the contract.
-  void allocate_fast(const FastVcRequest* req, std::size_t n,
-                     std::vector<int>& grant) override;
-
   void allocate(const std::vector<VcRequest>& req,
                 std::vector<int>& grant) override;
   void reset() override;
@@ -56,6 +44,14 @@ class VcWavefrontAllocator final : public VcAllocator {
   bool sparse() const { return sparse_; }
 
  private:
+  /// Sparse single-call kernel: requests become (row, column) cells of their
+  /// message class's block and each core runs one wave-bucketed
+  /// WavefrontAllocator::allocate_sparse pass -- every core exactly once per
+  /// call, so all diagonals rotate as one dense allocate() would. See
+  /// VcAllocator::allocate_fast for the contract.
+  void allocate_words(const FastVcRequest* req, std::size_t n,
+                      std::vector<int>& grant) override;
+
   /// Runs one wavefront block over the subset of VCs belonging to message
   /// class m (all of them when sparse_ is false and m == 0).
   void allocate_block(const std::vector<VcRequest>& req, std::size_t vc_lo,
@@ -66,7 +62,7 @@ class VcWavefrontAllocator final : public VcAllocator {
   bool sparse_;
   // One core when dense; one per message class when sparse.
   std::vector<std::unique_ptr<WavefrontAllocator>> cores_;
-  // Fast-path scratch: per-core request cells and the shared granted list.
+  // Word-kernel scratch: per-core request cells and the shared granted list.
   std::vector<std::vector<WavefrontAllocator::SparseCell>> fast_cells_;
   std::vector<WavefrontAllocator::SparseCell> fast_granted_;
 };

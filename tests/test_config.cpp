@@ -60,6 +60,15 @@ TEST(SimConfigParse, InlineCommentsAndWhitespace) {
   EXPECT_EQ(cfg.seed, 7u);
 }
 
+TEST(SimConfigParse, MaximumSizeAllocatorsRoundTrip) {
+  std::istringstream in("vc_alloc = max\nsw_alloc = max\n");
+  const SimConfig cfg = parse_sim_config(in);
+  EXPECT_EQ(cfg.vc_alloc, AllocatorKind::kMaximumSize);
+  EXPECT_EQ(cfg.sw_alloc, AllocatorKind::kMaximumSize);
+  std::istringstream again(to_config_string(cfg));
+  EXPECT_EQ(to_config_string(parse_sim_config(again)), to_config_string(cfg));
+}
+
 TEST(SimConfigParse, RoundTripsThroughToConfigString) {
   std::istringstream in("topology = torus\nvcs_per_class = 2\nspec = nonspec\n");
   const SimConfig cfg = parse_sim_config(in);

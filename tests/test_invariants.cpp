@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 
 #include "noc/network.hpp"
@@ -70,6 +71,31 @@ class StarvingVcAllocator : public VcAllocator {
   void reset() override {}
 };
 
+/// Correct vector allocate() (it never grants), but a word kernel that
+/// grants each requesting head an output VC at its requested port outside
+/// the candidate mask. The router calls the word kernel, so only a checker
+/// that audits the kernel's own output can catch it.
+class OutOfMaskVcKernel : public VcAllocator {
+ public:
+  using VcAllocator::VcAllocator;
+  void allocate(const std::vector<VcRequest>& req,
+                std::vector<int>& grant) override {
+    grant.assign(req.size(), -1);
+  }
+  void reset() override {}
+
+ protected:
+  void allocate_words(const FastVcRequest* req, std::size_t n,
+                      std::vector<int>& grant) override {
+    for (std::size_t k = 0; k < n; ++k) {
+      const bits::Word outside = ~req[k].vc_mask & bits::low_mask(vcs());
+      if (outside == 0) continue;
+      const auto v = static_cast<std::size_t>(std::countr_zero(outside));
+      grant[req[k].input] = static_cast<int>(req[k].out_port * vcs() + v);
+    }
+  }
+};
+
 /// Grants input port 0 a crossbar slot it never requested.
 class BrokenSwitchAllocator : public SwitchAllocator {
  public:
@@ -132,6 +158,36 @@ TEST(Invariants, BrokenVcAllocatorIsCaught) {
     EXPECT_GE(e.violation().router, 0);
     EXPECT_NE(std::string(e.what()).find("no request"), std::string::npos);
   }
+  EXPECT_EQ(checker.violations_seen(), 1u);
+}
+
+TEST(Invariants, CheckerAuditsTheWordKernelsOutput) {
+  // Light traffic: the first head to request VC allocation is granted a VC
+  // of the wrong class by the word kernel, and the checker must say so
+  // before the grant is committed.
+  NetworkConfig cfg = base_config(0.05);
+  cfg.router.vc_alloc_factory = [](const VcAllocatorConfig& va) {
+    return std::make_unique<OutOfMaskVcKernel>(va.ports,
+                                               va.partition.total_vcs());
+  };
+  Harness h(cfg);
+  InvariantChecker checker;
+  checker.throw_on_violation();
+  h.net->attach_invariant_checker(&checker);
+
+  bool fired = false;
+  for (int i = 0; i < 500 && !fired; ++i) {
+    try {
+      h.net->step();
+    } catch (const InvariantError& e) {
+      EXPECT_EQ(e.violation().check, "vc-alloc");
+      EXPECT_NE(std::string(e.what()).find("candidate mask"),
+                std::string::npos)
+          << e.what();
+      fired = true;
+    }
+  }
+  EXPECT_TRUE(fired) << "out-of-mask grant from the word kernel not detected";
   EXPECT_EQ(checker.violations_seen(), 1u);
 }
 

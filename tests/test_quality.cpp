@@ -142,11 +142,11 @@ TEST(SaQuality, MaxSizeAllocatorScoresExactlyOne) {
   EXPECT_DOUBLE_EQ(sa_quality(AllocatorKind::kMaximumSize, 5, 4, 0.7), 1.0);
 }
 
-// The sweeps run each allocator's single-word kernel when it has one, and its
-// allocate() otherwise. Twin allocators, one on the kernel path and one forced
-// onto the reference allocate() path, must report identical grants and
-// maximum-size grants over the figure grid, with priority state carried across
-// rates as in the figure benches.
+// The sweeps submit every trial through the allocator's word entry point:
+// its single-word kernel, or, on the reference path, its byte-loop
+// allocate() behind the word-to-vector adapter. Twin allocators, one on each,
+// must report identical grants and maximum-size grants over the figure grid,
+// with priority state carried across rates as in the figure benches.
 constexpr double kFigureRates[] = {0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0};
 constexpr AllocatorKind kKernelFamilies[] = {
     AllocatorKind::kSeparableInputFirst, AllocatorKind::kSeparableOutputFirst,
@@ -181,7 +181,6 @@ TEST(QualityKernelPath, VcMatchesAllocateFallbackOnFig7Grid) {
         auto kernel = make_vc_allocator(cfg);
         auto fallback = make_vc_allocator(cfg);
         fallback->set_reference_path(true);
-        ASSERT_TRUE(kernel->fast_ready()) << pt.label << " " << to_string(kind);
         Rng rk(21), rf(21);
         for (double rate : kFigureRates) {
           const QualityResult a =
@@ -209,7 +208,6 @@ TEST(QualityKernelPath, SaMatchesAllocateFallbackOnFig12Grid) {
           auto kernel = make_switch_allocator({ports, vcs, kind, arb});
           auto fallback = make_switch_allocator({ports, vcs, kind, arb});
           fallback->set_reference_path(true);
-          ASSERT_TRUE(kernel->fast_ready()) << "P=" << ports << " V=" << vcs;
           Rng rk(23), rf(23);
           for (double rate : kFigureRates) {
             const QualityResult a = measure_sa_quality(*kernel, rate, 300, rk);
@@ -229,16 +227,16 @@ TEST(QualityKernelPath, SaMatchesAllocateFallbackOnFig12Grid) {
   }
 }
 
-TEST(QualityKernelPath, MaxSizeScoresExactlyOneThroughFallback) {
-  // Max-size has no single-word kernel, so the sweeps reach it through
-  // allocate() and the shared matcher; it must equal its own reference.
+TEST(QualityKernelPath, MaxSizeScoresExactlyOneThroughAdapter) {
+  // Max-size has no single-word kernel, so the word entry point reaches its
+  // allocate() and the shared matcher through the word-to-vector adapter;
+  // it must equal its own reference.
   for (const Fig7Point& pt : fig7_points()) {
     VcAllocatorConfig cfg;
     cfg.ports = pt.ports;
     cfg.partition = pt.partition;
     cfg.kind = AllocatorKind::kMaximumSize;
     auto alloc = make_vc_allocator(cfg);
-    ASSERT_FALSE(alloc->fast_ready());
     Rng rng(25);
     for (double rate : kFigureRates) {
       const QualityResult q =
@@ -250,8 +248,7 @@ TEST(QualityKernelPath, MaxSizeScoresExactlyOneThroughFallback) {
     for (std::size_t vcs : {2u, 4u, 8u, 16u}) {
       auto alloc = make_switch_allocator(
           {ports, vcs, AllocatorKind::kMaximumSize, ArbiterKind::kRoundRobin});
-      ASSERT_FALSE(alloc->fast_ready());
-      Rng rng(27);
+        Rng rng(27);
       for (double rate : kFigureRates) {
         const QualityResult q = measure_sa_quality(*alloc, rate, 200, rng);
         EXPECT_EQ(q.grants, q.max_grants)

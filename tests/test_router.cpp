@@ -316,5 +316,17 @@ TEST_F(RouterTest, BufferedFlitCountTracksOccupancy) {
   EXPECT_EQ(router_->buffered_flits(), 1u);
 }
 
+TEST_F(RouterTest, RejectsShapesWiderThanOneAllocationWord) {
+  // The allocation stage packs ports and per-port VCs into single words.
+  RouterConfig wide_ports = config(SpecMode::kPessimistic);
+  wide_ports.ports = 65;
+  EXPECT_DEATH({ Router r(0, wide_ports, routing_, arena_); },
+               "more than 64 ports");
+  RouterConfig wide_vcs = config(SpecMode::kPessimistic);
+  wide_vcs.partition = VcPartition::mesh(2, 33);  // V = 66
+  EXPECT_DEATH({ Router r(0, wide_vcs, routing_, arena_); },
+               "more than 64 VCs");
+}
+
 }  // namespace
 }  // namespace nocalloc::noc

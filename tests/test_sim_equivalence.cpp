@@ -9,15 +9,15 @@
 // tolerances).
 //
 // Network::step() runs every router's allocation stage through
-// Router::allocate_fast, the single-word allocator kernels. An attached
-// invariant checker sends a router to the scalar Router::allocate instead,
-// and so does the allocators' byte-loop reference path. Each golden row is
-// therefore reproduced three ways: checked (scalar allocate, audited on
-// every step), unchecked (the kernels), and on the reference path (scalar
-// allocate over the byte-loop oracles). The rows span every allocator family
-// with a kernel (separable input- and output-first, wavefront; round-robin
-// and matrix arbiters) in every speculation mode, plus a maximum-size row
-// that has no kernel and must fall back.
+// Router::allocate, which calls the allocators' word entry points: the
+// single-word kernels, or, on the allocators' byte-loop reference path, the
+// oracles behind a word-to-vector adapter. Each golden row is reproduced
+// three ways: checked (the kernels, with every request and grant audited by
+// the invariant checker), unchecked (the kernels), and on the reference path
+// (the oracles). The rows span every allocator family with a kernel
+// (separable input- and output-first, wavefront; round-robin and matrix
+// arbiters) in every speculation mode, plus a maximum-size row that reaches
+// its allocate() through the adapter.
 //
 // If a deliberate semantic change ever invalidates these goldens, re-record
 // them with the dump program documented in DESIGN.md (simulator memory
@@ -160,10 +160,10 @@ const GoldenPoint kGoldens[] = {
      42, 0.1006640625, 0ull, 0ull,
      0},
     // Rows completing the family x speculation-mode matrix, recorded from
-    // the scalar Router::allocate path: sep_if conservative, sep_of
+    // the former scalar router path: sep_if conservative, sep_of
     // pessimistic and non-speculative, wavefront conservative, a sep_of VA
     // feeding a wavefront SA, matrix arbiters non-speculative and on the
-    // fbfly, and a maximum-size SA (no kernel: the scalar fallback).
+    // fbfly, and a maximum-size SA (no kernel: the word-to-vector adapter).
     {TopologyKind::kMesh8x8, 1u, AllocatorKind::kSeparableInputFirst,
      AllocatorKind::kSeparableInputFirst, SpecMode::kConservative,
      0.14999999999999999, 9ull,
@@ -252,17 +252,11 @@ void expect_same_result(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.arena_high_water, b.arena_high_water);
 }
 
-bool has_kernel(const SimConfig& cfg) {
-  return cfg.vc_alloc != AllocatorKind::kMaximumSize &&
-         cfg.sw_alloc != AllocatorKind::kMaximumSize;
-}
-
 TEST(SimEquivalence, StatisticsMatchRecordedGoldens) {
-  // Checked runs take the scalar allocate() path on every router. Unchecked
-  // runs take the single-word kernels (and skip the allocators on empty
-  // cycles, which checked runs still call so broken allocators are caught).
-  // Both must reproduce the golden row, and each other in every field,
-  // work counters included.
+  // Checked and unchecked runs both take the single-word kernels; unchecked
+  // runs skip the allocators on empty cycles, which checked runs still call
+  // so broken allocators are caught. Both must reproduce the golden row,
+  // and each other in every field, work counters included.
   for (const GoldenPoint& pt : kGoldens) {
     SCOPED_TRACE(describe(pt));
     SimConfig cfg = config_for(pt);
@@ -275,29 +269,8 @@ TEST(SimEquivalence, StatisticsMatchRecordedGoldens) {
   }
 }
 
-TEST(SimEquivalence, FastPathCoversAllAllocatorFamilies) {
-  // Every row with a single-word kernel must run it when unchecked; a silent
-  // fallback would still be bit-identical but void the perf contract. A
-  // checker or the reference path sends every router to the scalar path.
-  for (const GoldenPoint& pt : kGoldens) {
-    SCOPED_TRACE(describe(pt));
-    SimConfig cfg = config_for(pt);
-    cfg.check_invariants = false;
-    SimInstance fast(cfg);
-    SimInstance checked(config_for(pt));
-    const int routers =
-        static_cast<int>(fast.network().topology().num_routers());
-    for (int r = 0; r < routers; ++r) {
-      EXPECT_EQ(fast.network().router(r).fast_path_active(), has_kernel(cfg));
-      EXPECT_FALSE(checked.network().router(r).fast_path_active());
-    }
-    fast.network().set_reference_path(true);
-    EXPECT_FALSE(fast.network().router(0).fast_path_active());
-  }
-}
-
 TEST(SimEquivalence, ReferencePathMatchesGoldens) {
-  // The byte-loop oracles behind the scalar allocate() path, unchecked.
+  // The byte-loop oracles behind the word entry points, unchecked.
   for (const GoldenPoint& pt : kGoldens) {
     SCOPED_TRACE(describe(pt));
     SimConfig cfg = config_for(pt);
@@ -309,10 +282,11 @@ TEST(SimEquivalence, ReferencePathMatchesGoldens) {
   }
 }
 
-TEST(SimEquivalence, KernelAndScalarCyclesInterleave) {
-  // Both paths drive the same arbiter objects, so switching between them
-  // mid-run (here every 37 cycles through the warmup, then one path for
-  // the measured window) must hand over priority state exactly.
+TEST(SimEquivalence, KernelAndReferenceCyclesInterleave) {
+  // The kernels and the oracles drive the same arbiter objects, so
+  // switching between them mid-run (here every 37 cycles through the
+  // warmup, then one of them for the measured window) must hand over
+  // priority state exactly.
   std::size_t k = 0;
   for (const GoldenPoint& pt : kGoldens) {
     SCOPED_TRACE(describe(pt));

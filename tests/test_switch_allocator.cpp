@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "common/rng.hpp"
+#include "sa/speculative_switch_allocator.hpp"
 
 namespace nocalloc {
 namespace {
@@ -205,6 +208,103 @@ TEST(SaComparison, WavefrontQualityAtLeastSeparableInputFirst) {
     for (const auto& g : grant) sep_grants += g.granted() ? 1 : 0;
   }
   EXPECT_GT(wf_grants, sep_grants);
+}
+
+// ---------------------------------------------------------------------------
+// Speculation masking (Sec. 5.2) in word form, against the byte-flag oracle.
+
+// The ports' request words and the requested output of every set bit, for
+// a failure message that replays the cycle.
+std::string describe_words(const char* label,
+                           const std::vector<bits::Word>& words,
+                           const std::vector<std::uint8_t>& out,
+                           std::size_t vcs) {
+  std::ostringstream os;
+  os << label << ":";
+  for (std::size_t p = 0; p < words.size(); ++p) {
+    if (words[p] == 0) continue;
+    os << " p" << p << "=0x" << std::hex << words[p] << std::dec << "{";
+    bits::for_each_set(&words[p], 1, [&](std::size_t v) {
+      os << " v" << v << "->" << static_cast<int>(out[p * vcs + v]);
+    });
+    os << " }";
+  }
+  return os.str();
+}
+
+TEST(SpeculativeSwitchAllocator, WordMaskingMatchesReferenceTwin) {
+  // The word entry point (single-word kernels plus word-form row/column
+  // conflict masks) against a reference-path twin, which expands the same
+  // words into request vectors and runs the byte-loop allocators and the
+  // byte-flag masking. Random non-speculative and speculative request words
+  // with random output ports, at a load redrawn every cycle, over hundreds
+  // of cycles so both twins' priority state evolves; grants and the
+  // masked-grant counter must agree on every cycle.
+  constexpr int kCycles = 300;
+  std::uint64_t seed = 1;
+  for (SpecMode mode : {SpecMode::kConservative, SpecMode::kPessimistic}) {
+    for (AllocatorKind kind :
+         {AllocatorKind::kSeparableInputFirst,
+          AllocatorKind::kSeparableOutputFirst, AllocatorKind::kWavefront}) {
+      for (ArbiterKind arb : {ArbiterKind::kRoundRobin, ArbiterKind::kMatrix}) {
+        for (std::size_t ports : {2u, 5u, 10u, 64u}) {
+          for (std::size_t vcs : {2u, 5u, 10u, 64u}) {
+            ++seed;
+            const SwitchAllocatorConfig cfg{ports, vcs, kind, arb};
+            SpeculativeSwitchAllocator words(cfg, mode);
+            SpeculativeSwitchAllocator twin(cfg, mode);
+            twin.set_reference_path(true);
+            std::vector<bits::Word> ns(ports), sp(ports);
+            std::vector<std::uint8_t> ns_out(ports * vcs), sp_out(ports * vcs);
+            std::vector<SpecSwitchGrant> got, want;
+            Rng rng(seed);
+            for (int cycle = 0; cycle < kCycles; ++cycle) {
+              // Each input VC is idle, holds a flit with an output VC
+              // (non-speculative), or is a head still waiting for VA
+              // (speculative).
+              const double load = rng.next_double();
+              for (std::size_t p = 0; p < ports; ++p) {
+                ns[p] = 0;
+                sp[p] = 0;
+                for (std::size_t v = 0; v < vcs; ++v) {
+                  if (!rng.next_bool(load)) continue;
+                  const auto o = static_cast<std::uint8_t>(rng.next_below(ports));
+                  if (rng.next_bool(0.5)) {
+                    ns[p] |= bits::bit(v);
+                    ns_out[p * vcs + v] = o;
+                  } else {
+                    sp[p] |= bits::bit(v);
+                    sp_out[p * vcs + v] = o;
+                  }
+                }
+              }
+              words.allocate_fast(ns.data(), ns_out.data(), sp.data(),
+                                  sp_out.data(), got);
+              twin.allocate_fast(ns.data(), ns_out.data(), sp.data(),
+                                 sp_out.data(), want);
+              bool same = got.size() == want.size() &&
+                          words.masked_spec_grants() ==
+                              twin.masked_spec_grants();
+              for (std::size_t p = 0; same && p < got.size(); ++p) {
+                same = got[p].nonspec.vc == want[p].nonspec.vc &&
+                       got[p].nonspec.out_port == want[p].nonspec.out_port &&
+                       got[p].spec.vc == want[p].spec.vc &&
+                       got[p].spec.out_port == want[p].spec.out_port;
+              }
+              ASSERT_TRUE(same)
+                  << "seed " << seed << " cycle " << cycle << " "
+                  << to_string(mode) << " " << to_string(kind) << " arb "
+                  << to_string(arb) << " P=" << ports << " V=" << vcs
+                  << "\n  " << describe_words("ns", ns, ns_out, vcs)
+                  << "\n  " << describe_words("sp", sp, sp_out, vcs)
+                  << "\n  masked " << words.masked_spec_grants() << " vs "
+                  << twin.masked_spec_grants();
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SwitchAllocatorFactory, RejectsZeroDimensions) {

@@ -27,6 +27,8 @@ BitMatrix random_matrix(std::size_t n, double density, Rng& rng) {
   return m;
 }
 
+// One generic allocate() on an n x n request matrix: the byte-loop
+// allocators the ablation benches wrap, and Hopcroft-Karp for max.
 void BM_Allocator(benchmark::State& state, AllocatorKind kind) {
   const auto n = static_cast<std::size_t>(state.range(0));
   auto alloc = make_allocator(kind, n, n);
@@ -43,37 +45,23 @@ void BM_Allocator(benchmark::State& state, AllocatorKind kind) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-// Same workload forced onto the byte-loop reference path, so one run shows
-// the word-parallel speedup directly (BM_Allocator vs BM_AllocatorRef).
-void BM_AllocatorRef(benchmark::State& state, AllocatorKind kind) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto alloc = make_allocator(kind, n, n);
-  alloc->set_reference_path(true);
-  Rng rng(1);
-  std::vector<BitMatrix> reqs;
-  for (int i = 0; i < 16; ++i) reqs.push_back(random_matrix(n, 0.4, rng));
-  BitMatrix gnt;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    alloc->allocate(reqs[i++ % reqs.size()], gnt);
-    benchmark::DoNotOptimize(gnt);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-
+// One switch allocation through the word entry point the router calls
+// (allocate_fast, the architecture's single-word kernel).
 void BM_SwitchAllocator(benchmark::State& state, AllocatorKind kind) {
   const auto ports = static_cast<std::size_t>(state.range(0));
   const auto vcs = static_cast<std::size_t>(state.range(1));
   auto alloc = make_switch_allocator({ports, vcs, kind, ArbiterKind::kRoundRobin});
   Rng rng(2);
-  std::vector<SwitchRequest> req(ports * vcs);
-  for (auto& r : req) {
-    r.valid = rng.next_bool(0.4);
-    r.out_port = r.valid ? static_cast<int>(rng.next_below(ports)) : -1;
+  std::vector<bits::Word> vc_words(ports, 0);
+  std::vector<std::uint8_t> out_ports(ports * vcs, 0);
+  for (std::size_t i = 0; i < ports * vcs; ++i) {
+    if (!rng.next_bool(0.4)) continue;
+    vc_words[i / vcs] |= bits::bit(i % vcs);
+    out_ports[i] = static_cast<std::uint8_t>(rng.next_below(ports));
   }
   std::vector<SwitchGrant> gnt;
   for (auto _ : state) {
-    alloc->allocate(req, gnt);
+    alloc->allocate_fast(vc_words.data(), out_ports.data(), gnt);
     benchmark::DoNotOptimize(gnt);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -88,7 +76,6 @@ constexpr double kQualityRate = 0.6;
 constexpr int kQualitySets = 16;
 
 struct VcQualitySets {
-  std::vector<std::vector<VcRequest>> dense;      // allocate() form
   std::vector<std::vector<FastVcRequest>> words;  // allocate_fast() form
   std::vector<BitMatrix> full;                    // max-size reference
 };
@@ -100,7 +87,6 @@ VcQualitySets vc_quality_sets(const VcPartition& part) {
   Rng rng(3);
   VcQualitySets sets;
   for (int s = 0; s < kQualitySets; ++s) {
-    std::vector<VcRequest> dense(total);
     std::vector<FastVcRequest> words;
     BitMatrix full(total, total);
     for (std::size_t i = 0; i < total; ++i) {
@@ -110,18 +96,13 @@ VcQualitySets vc_quality_sets(const VcPartition& part) {
       const auto succ = part.successors(part.resource_class_of(vc));
       const std::size_t r2 = succ[rng.next_below(succ.size())];
       const std::size_t base = part.class_base(part.message_class_of(vc), r2);
-      dense[i].valid = true;
-      dense[i].out_port = static_cast<int>(out_port);
-      dense[i].vc_mask.assign(vcs, 0);
       for (std::size_t c = 0; c < span; ++c) {
-        dense[i].vc_mask[base + c] = 1;
         full.set(i, out_port * vcs + base + c);
       }
       words.push_back({static_cast<std::uint32_t>(i),
                        static_cast<std::uint32_t>(out_port),
                        bits::low_mask(span) << base});
     }
-    sets.dense.push_back(std::move(dense));
     sets.words.push_back(std::move(words));
     sets.full.push_back(std::move(full));
   }
@@ -133,10 +114,9 @@ VcPartition fbfly_partition(std::size_t n) {
   return VcPartition::fbfly(2, n / (kQualityPorts * 4));
 }
 
-// One VC quality trial on the multi-word mask path (kernel = false) or on
-// the single-word kernel the quality sweeps run (kernel = true); the range
-// is the allocator's dimension P * V.
-void BM_VcQuality(benchmark::State& state, AllocatorKind kind, bool kernel) {
+// One VC quality trial on the single-word kernel the quality sweeps run
+// (allocate_fast); the range is the allocator's dimension P * V.
+void BM_VcQuality(benchmark::State& state, AllocatorKind kind) {
   VcAllocatorConfig cfg;
   cfg.ports = kQualityPorts;
   cfg.partition = fbfly_partition(static_cast<std::size_t>(state.range(0)));
@@ -146,14 +126,9 @@ void BM_VcQuality(benchmark::State& state, AllocatorKind kind, bool kernel) {
   std::vector<int> grant(alloc->total(), -1);
   std::size_t i = 0;
   for (auto _ : state) {
-    const std::size_t s = i++ % sets.dense.size();
-    if (kernel) {
-      const std::vector<FastVcRequest>& req = sets.words[s];
-      alloc->allocate_fast(req.data(), req.size(), grant);
-      for (const FastVcRequest& r : req) grant[r.input] = -1;
-    } else {
-      alloc->allocate(sets.dense[s], grant);
-    }
+    const std::vector<FastVcRequest>& req = sets.words[i++ % sets.words.size()];
+    alloc->allocate_fast(req.data(), req.size(), grant);
+    for (const FastVcRequest& r : req) grant[r.input] = -1;
     benchmark::DoNotOptimize(grant);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -196,33 +171,17 @@ BENCHMARK_CAPTURE(BM_Allocator, wf, AllocatorKind::kWavefront)
 BENCHMARK_CAPTURE(BM_Allocator, max, AllocatorKind::kMaximumSize)
     ->Arg(10)->Arg(40)->Arg(160);
 
-BENCHMARK_CAPTURE(BM_AllocatorRef, sep_if, AllocatorKind::kSeparableInputFirst)
-    ->Arg(40)->Arg(160);
-BENCHMARK_CAPTURE(BM_AllocatorRef, sep_of, AllocatorKind::kSeparableOutputFirst)
-    ->Arg(40)->Arg(160);
-BENCHMARK_CAPTURE(BM_AllocatorRef, wf, AllocatorKind::kWavefront)
-    ->Arg(40)->Arg(160);
-BENCHMARK_CAPTURE(BM_AllocatorRef, max, AllocatorKind::kMaximumSize)
-    ->Arg(40)->Arg(160);
-
 BENCHMARK_CAPTURE(BM_SwitchAllocator, sep_if,
                   AllocatorKind::kSeparableInputFirst)
     ->Args({5, 2})->Args({10, 16});
 BENCHMARK_CAPTURE(BM_SwitchAllocator, wf, AllocatorKind::kWavefront)
     ->Args({5, 2})->Args({10, 16});
 
-BENCHMARK_CAPTURE(BM_VcQuality, sep_if_mask,
-                  AllocatorKind::kSeparableInputFirst, false)->Arg(160);
-BENCHMARK_CAPTURE(BM_VcQuality, sep_if_kernel,
-                  AllocatorKind::kSeparableInputFirst, true)->Arg(160);
-BENCHMARK_CAPTURE(BM_VcQuality, sep_of_mask,
-                  AllocatorKind::kSeparableOutputFirst, false)->Arg(160);
-BENCHMARK_CAPTURE(BM_VcQuality, sep_of_kernel,
-                  AllocatorKind::kSeparableOutputFirst, true)->Arg(160);
-BENCHMARK_CAPTURE(BM_VcQuality, wf_mask, AllocatorKind::kWavefront, false)
+BENCHMARK_CAPTURE(BM_VcQuality, sep_if, AllocatorKind::kSeparableInputFirst)
     ->Arg(160);
-BENCHMARK_CAPTURE(BM_VcQuality, wf_kernel, AllocatorKind::kWavefront, true)
+BENCHMARK_CAPTURE(BM_VcQuality, sep_of, AllocatorKind::kSeparableOutputFirst)
     ->Arg(160);
+BENCHMARK_CAPTURE(BM_VcQuality, wf, AllocatorKind::kWavefront)->Arg(160);
 
 BENCHMARK_CAPTURE(BM_MaxMatchingSize, sa, false)->Arg(10);
 BENCHMARK_CAPTURE(BM_MaxMatchingSize, vc, true)->Arg(160);

@@ -16,8 +16,8 @@
 //
 // Honors NOCALLOC_BENCH_FAST=1 / NOCALLOC_BENCH_MIN_TIME=s via minibench.
 // NOCALLOC_BENCH_JSON names a file for a machine-readable summary of the
-// acceptance-check numbers (run_benches.sh points it at
-// bench_results/BENCH_netlist.json).
+// acceptance-check numbers, stamped with host, compiler and build type
+// (run_benches.sh points it at bench_results/BENCH_netlist.json).
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_stamp.hpp"
 #include "bench/minibench.hpp"
 #include "common/rng.hpp"
 #include "hw/netlist_program.hpp"
@@ -296,7 +297,7 @@ int run_checks() {
   }
   json += "  ],\n  \"checks_pass\": ";
   json += ok ? "true" : "false";
-  json += "\n}\n";
+  json += ",\n  " + nocalloc::bench::json_stamp() + "\n}\n";
   const char* path = std::getenv("NOCALLOC_BENCH_JSON");
   if (path != nullptr && path[0] != '\0') {
     if (std::FILE* f = std::fopen(path, "w")) {

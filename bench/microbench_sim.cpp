@@ -23,16 +23,18 @@
 //      reference path. Only allocator-bound points are gated -- torus with
 //      C=8 (sep_if), mesh with C=8 (sep_of, matrix arbiters) and mesh with
 //      C=4 (wavefront, speculative and not) -- because there the kernels
-//      beat the multi-word mask allocate() (the former scalar router path)
-//      by 2x or more, so a floor can sit clear of both. On a 4-core x86
-//      host the kernels measured 95-179x / 14-19x / 7.4-12x / 8.2-12x
-//      (sep_if / sep_of / matrix / wavefront) against floors of 50x / 10x /
-//      5.5x / 4x, and the same points on the mask path 22-30x / 5.9-10x /
-//      2.9-4.2x / 0.9-1.1x. At the C=1 mesh/fbfly loads the mask path alone
-//      read 1.3x-2.6x over the byte-loop reference against 1.8x-4.5x for
-//      the kernels, too close to gate; those rows are reported only, and so
-//      is the maximum-size row, which has no kernel and runs its
-//      allocate() behind the word-to-vector adapter on both sides.
+//      beat the multi-word mask allocators (the router's path before the
+//      word kernels, since deleted) by 2x or more, so each floor was set
+//      clear of both. On a 4-core x86 host the kernels measured 95-179x /
+//      14-19x / 7.4-12x / 8.2-12x (sep_if / sep_of / matrix / wavefront)
+//      against floors of 50x / 10x / 5.5x / 4x, and the same points on the
+//      mask path 22-30x / 5.9-10x / 2.9-4.2x / 0.9-1.1x. At the C=1
+//      mesh/fbfly loads the mask path read 1.3x-2.6x over the byte-loop
+//      reference against 1.8x-4.5x for the kernels, too close to gate;
+//      those rows are reported only. So are the maximum-size row, which has
+//      no kernel and runs its allocate() behind the word-to-vector adapter
+//      on both sides, and the checked row, whose two runs both carry the
+//      invariant checker and which is there for gate 2.
 //      Separable and wavefront points are summarised apart, so one family
 //      slowing down cannot hide behind the other's number;
 //   4. construction: building the torus/C=8/sep_if network with matrix
@@ -53,13 +55,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
-#include <fstream>
 #include <new>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "bench/bench_stamp.hpp"
 #include "noc/sim.hpp"
 
 // ---- Global allocation counter ---------------------------------------------
@@ -112,26 +113,6 @@ double wall_now() {
          1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
-#if defined(__clang__)
-constexpr const char* kCompiler = __VERSION__;
-#else
-constexpr const char* kCompiler = "gcc " __VERSION__;
-#endif
-
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      const std::size_t colon = line.find(':');
-      if (colon != std::string::npos && colon + 2 <= line.size()) {
-        return line.substr(colon + 2);
-      }
-    }
-  }
-  return "unknown";
-}
-
 struct Point {
   TopologyKind topo;
   std::size_t vcs_per_class;
@@ -141,6 +122,7 @@ struct Point {
   AllocatorKind alloc = AllocatorKind::kSeparableInputFirst;  // VA and SA
   ArbiterKind arb = ArbiterKind::kRoundRobin;                 // VA and SA
   SpecMode spec = SpecMode::kPessimistic;
+  bool checked = false;  // runtime invariant checker attached (both runs)
 };
 
 // Gate 4's bound on matrix / round-robin construction time. Measured on a
@@ -173,6 +155,7 @@ RunOutcome run_point(const Point& pt, bool reference, std::size_t warmup,
   cfg.vc_arb = pt.arb;
   cfg.sw_arb = pt.arb;
   cfg.spec = pt.spec;
+  cfg.check_invariants = pt.checked;
   cfg.injection_rate = pt.load;
   cfg.seed = 1;
 
@@ -248,11 +231,7 @@ int run_all() {
   const std::size_t measure = fast ? 1000 : 10000;
   const std::size_t drain = fast ? 500 : 8000;
 
-#ifdef NOCALLOC_BUILD_TYPE
-  const char* build_type = NOCALLOC_BUILD_TYPE;
-#else
-  const char* build_type = "unknown";
-#endif
+  const char* build_type = bench::build_type();
   std::printf("Build type: %s\n", build_type);
   if (std::strcmp(build_type, "Debug") == 0) {
     std::printf("WARNING: Debug build; timings are not comparable\n");
@@ -270,10 +249,11 @@ int run_all() {
   // every allocator family with a kernel at an allocator-bound point: torus
   // with C=8 packs the full 64-VC word (2 message classes x 4 dateline
   // resource classes x 8); mesh with C=8 gives sep_of and matrix 16 VCs per
-  // port, where their kernels lead the mask path by 2x or more (at C=4 the
-  // lead is 1.7-2x, too narrow for a floor); mesh with C=4 keeps the
+  // port, where their kernels led the mask path by 2x or more (at C=4 the
+  // lead was 1.7-2x, too narrow for a floor); mesh with C=4 keeps the
   // reference wavefront's PV x PV array affordable. The maximum-size row
-  // keeps the word-to-vector adapter under the zero-allocation gate.
+  // keeps the word-to-vector adapter under the zero-allocation gate, and the
+  // checked row the runtime invariant checker.
   using AK = AllocatorKind;
   using TK = TopologyKind;
   const Point points[] = {
@@ -292,6 +272,9 @@ int run_all() {
       {TK::kMesh8x8, 4, 0.30, "mesh/C=4/wf/nonspec", 4.0, AK::kWavefront,
        ArbiterKind::kRoundRobin, SpecMode::kNonSpeculative},
       {TK::kMesh8x8, 2, 0.30, "mesh/C=2/max", 0.0, AK::kMaximumSize},
+      {TK::kMesh8x8, 2, 0.30, "mesh/C=2/checked", 0.0,
+       AK::kSeparableInputFirst, ArbiterKind::kRoundRobin,
+       SpecMode::kPessimistic, true},
   };
   const std::size_t n_points = sizeof(points) / sizeof(points[0]);
 
@@ -372,15 +355,12 @@ int run_all() {
       "  \"worst_wavefront_floor_margin\": %.3f,\n"
       "  \"torus_c8_build_ms\": {\"rr\": %.2f, \"matrix\": %.2f, "
       "\"ratio\": %.3f, \"max_ratio\": %.1f},\n"
-      "  \"zero_alloc_pass\": %s, \"identical\": %s,\n"
-      "  \"host\": {\"nproc\": %u, \"cpu\": \"%s\"},\n"
-      "  \"compiler\": \"%s\", \"build_type\": \"%s\"\n}\n",
+      "  \"zero_alloc_pass\": %s, \"identical\": %s,\n  ",
       warmup, measure, drain, worst_sep, worst_wf, 1e3 * rr_build_s,
       1e3 * mx_build_s, build_ratio, kMaxMatrixBuildRatio,
-      zero_alloc ? "true" : "false", identical ? "true" : "false",
-      std::thread::hardware_concurrency(), cpu_model().c_str(), kCompiler,
-      build_type);
+      zero_alloc ? "true" : "false", identical ? "true" : "false");
   json += tail;
+  json += bench::json_stamp() + "\n}\n";
   const char* path = std::getenv("NOCALLOC_BENCH_JSON");
   if (path != nullptr && path[0] != '\0') {
     if (std::FILE* f = std::fopen(path, "w")) {

@@ -29,8 +29,9 @@
 //
 // Honors NOCALLOC_BENCH_FAST=1 (run_benches.sh BENCH_FAST) with shorter
 // phases; the zero-allocation assertion is enforced in both modes.
-// NOCALLOC_BENCH_JSON names a file for a machine-readable summary
-// (run_benches.sh points it at bench_results/BENCH_sweep.json).
+// NOCALLOC_BENCH_JSON names a file for a machine-readable summary, stamped
+// with host, compiler and build type (run_benches.sh points it at
+// bench_results/BENCH_sweep.json).
 #include <dirent.h>
 #include <unistd.h>
 
@@ -44,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_stamp.hpp"
 #include "noc/sim.hpp"
 #include "sweep/sim_batch.hpp"
 
@@ -356,9 +358,9 @@ int run_all() {
   const CacheNumbers cache = bench_cache();
   const bool ok = zero_alloc && scaling.identical && cache.identical;
 
-  char json[640];
+  char head[640];
   std::snprintf(
-      json, sizeof(json),
+      head, sizeof(head),
       "{\n"
       "  \"bench\": \"microbench_sweep\",\n"
       "  \"warm_fork_speedup\": %.2f,\n"
@@ -366,16 +368,17 @@ int run_all() {
       "\"deterministic\": %s},\n"
       "  \"cache\": {\"cold_s\": %.3f, \"cached_s\": %.3f, "
       "\"speedup\": %.1f, \"identical\": %s},\n"
-      "  \"zero_alloc_pass\": %s\n"
-      "}\n",
+      "  \"zero_alloc_pass\": %s,\n  ",
       warm_speedup, scaling.threads, scaling.speedup,
       scaling.identical ? "true" : "false", cache.cold_s, cache.cached_s,
       cache.cached_s > 0.0 ? cache.cold_s / cache.cached_s : 0.0,
       cache.identical ? "true" : "false", zero_alloc ? "true" : "false");
+  const std::string json =
+      head + nocalloc::bench::json_stamp() + "\n}\n";
   const char* path = std::getenv("NOCALLOC_BENCH_JSON");
   if (path != nullptr && path[0] != '\0') {
     if (std::FILE* f = std::fopen(path, "w")) {
-      std::fputs(json, f);
+      std::fputs(json.c_str(), f);
       std::fclose(f);
     } else {
       std::printf("WARNING: could not write %s\n", path);

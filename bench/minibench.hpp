@@ -15,7 +15,9 @@
 //   NOCALLOC_BENCH_FAST=1      -- shorter calibration target (smoke mode)
 //   NOCALLOC_BENCH_MIN_TIME=s  -- explicit calibration target in seconds
 //   NOCALLOC_BENCH_JSON=path   -- also write a machine-readable summary
-//                                 (one entry per benchmark run) to `path`
+//                                 (one entry per benchmark run, stamped
+//                                 with host, compiler and build type) to
+//                                 `path`
 #pragma once
 
 #include <cstdint>
@@ -26,6 +28,8 @@
 #include <functional>
 #include <string>
 #include <vector>
+
+#include "bench/bench_stamp.hpp"
 
 namespace benchmark {
 
@@ -275,7 +279,7 @@ inline void write_json_summary(const char* argv0) {
                  r.name.c_str(), r.ns_per_op, r.cpu_ns_per_op, r.iterations,
                  r.items_per_second, i + 1 < rs.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f, "  ],\n  %s\n}\n", nocalloc::bench::json_stamp().c_str());
   std::fclose(f);
 }
 

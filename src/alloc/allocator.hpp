@@ -48,15 +48,6 @@ class Allocator {
     static_cast<void>(cycles);
   }
 
-  /// Selects the byte-loop reference implementation instead of the
-  /// word-parallel mask kernels. Both paths produce identical grants and
-  /// identical priority-state evolution; the reference path is the oracle the
-  /// mask kernels are differentially tested against (tests/test_mask_kernels)
-  /// and is not meant for production sweeps. Wrappers forward the setting to
-  /// their inner allocators.
-  virtual void set_reference_path(bool ref) { reference_path_ = ref; }
-  bool reference_path() const { return reference_path_; }
-
   /// Serializes / restores the priority state for warm snapshot/restore.
   /// Defaults are no-ops for stateless architectures (maximum-size); every
   /// stateful architecture overrides both. load_state must consume bytes an
@@ -70,9 +61,6 @@ class Allocator {
     NOCALLOC_CHECK(req.rows() == inputs_ && req.cols() == outputs_);
     gnt.resize(inputs_, outputs_);
   }
-
- protected:
-  bool reference_path_ = false;
 
  private:
   std::size_t inputs_;

@@ -30,15 +30,9 @@ class IncrementalMaxAllocator final : public Allocator {
 
  private:
   /// Tries to find one augmenting path from unmatched input `i`; returns
-  /// true (and applies the augmentation) on success. Byte-loop reference.
+  /// true (and applies the augmentation) on success.
   bool augment(const BitMatrix& req, std::size_t i,
                std::vector<std::uint8_t>& visited);
-
-  /// Word-parallel variant: `visited` is a packed mask over the outputs and
-  /// candidate outputs are scanned as (row & ~visited) CTZ steps. Explores
-  /// outputs in exactly the reference order.
-  bool augment_mask(const BitMatrix& req, std::size_t i,
-                    std::vector<bits::Word>& visited);
 
   std::size_t steps_;
   // match_in_[i] = matched output or -1; match_out_[j] = matched input or -1.

@@ -139,7 +139,7 @@ std::size_t MaxSizeAllocator::max_matching_size(const BitMatrix& req,
 
 void MaxSizeAllocator::allocate(const BitMatrix& req, BitMatrix& gnt) {
   prepare(req, gnt);
-  HopcroftKarp& hk = matcher(req, reference_path_);
+  HopcroftKarp& hk = matcher(req, /*reference=*/false);
   hk.run();
   write_matching(hk, req.rows(), gnt);
 }

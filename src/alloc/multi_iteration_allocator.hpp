@@ -21,10 +21,6 @@ class MultiIterationAllocator final : public Allocator {
 
   void allocate(const BitMatrix& req, BitMatrix& gnt) override;
   void reset() override { inner_->reset(); }
-  void set_reference_path(bool ref) override {
-    reference_path_ = ref;
-    inner_->set_reference_path(ref);
-  }
 
   std::size_t iterations() const { return iterations_; }
 

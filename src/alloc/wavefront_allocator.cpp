@@ -13,13 +13,10 @@ WavefrontAllocator::WavefrontAllocator(std::size_t inputs, std::size_t outputs)
   NOCALLOC_CHECK(n_ > 0);
 }
 
-void WavefrontAllocator::allocate_from_diagonal(const BitMatrix& req,
-                                                std::size_t start,
-                                                BitMatrix& gnt) {
+void WavefrontAllocator::allocate(const BitMatrix& req, BitMatrix& gnt) {
+  prepare(req, gnt);
   const std::size_t rows = req.rows();
   const std::size_t cols = req.cols();
-  const std::size_t n = std::max(rows, cols);
-  gnt.resize(rows, cols);
 
   std::vector<std::uint8_t> row_free(rows, 1);
   std::vector<std::uint8_t> col_free(cols, 1);
@@ -27,10 +24,10 @@ void WavefrontAllocator::allocate_from_diagonal(const BitMatrix& req,
   // Wrapped diagonal d contains the cells (i, j) with (i + j) mod n == d.
   // Distinct cells on one diagonal share neither row nor column, so they can
   // be granted independently, exactly like one wave of the tile array.
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t d = (start + k) % n;
+  for (std::size_t k = 0; k < n_; ++k) {
+    const std::size_t d = (diagonal_ + k) % n_;
     for (std::size_t i = 0; i < rows; ++i) {
-      const std::size_t j = (d + n - (i % n)) % n;
+      const std::size_t j = (d + n_ - (i % n_)) % n_;
       if (j >= cols) continue;
       if (req.get(i, j) && row_free[i] && col_free[j]) {
         gnt.set(i, j);
@@ -38,43 +35,6 @@ void WavefrontAllocator::allocate_from_diagonal(const BitMatrix& req,
         col_free[j] = 0;
       }
     }
-  }
-}
-
-void WavefrontAllocator::allocate(const BitMatrix& req, BitMatrix& gnt) {
-  prepare(req, gnt);
-  if (reference_path_) {
-    allocate_from_diagonal(req, diagonal_, gnt);
-    diagonal_ = (diagonal_ + 1) % n_;
-    return;
-  }
-
-  // Same matching as allocate_from_diagonal, with free rows and columns
-  // tracked as packed masks so each wave only touches rows still free. The
-  // masks are members, so the per-cycle path performs no heap allocations
-  // (assign is a no-op resize once warm).
-  const std::size_t rows = req.rows();
-  const std::size_t cols = req.cols();
-  const std::size_t n = std::max(rows, cols);
-  row_free_.assign(bits::word_count(rows), 0);
-  col_free_.assign(bits::word_count(cols), 0);
-  for (std::size_t i = 0; i < rows; ++i)
-    row_free_[bits::word_of(i)] |= bits::bit(i);
-  for (std::size_t j = 0; j < cols; ++j)
-    col_free_[bits::word_of(j)] |= bits::bit(j);
-
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t d = (diagonal_ + k) % n;
-    bits::for_each_set(row_free_.data(), row_free_.size(), [&](std::size_t i) {
-      const std::size_t j = (d + n - (i % n)) % n;
-      if (j >= cols) return;
-      if ((req.row(i)[bits::word_of(j)] & bits::bit(j)) != 0 &&
-          (col_free_[bits::word_of(j)] & bits::bit(j)) != 0) {
-        gnt.row(i)[bits::word_of(j)] |= bits::bit(j);
-        row_free_[bits::word_of(i)] &= ~bits::bit(i);
-        col_free_[bits::word_of(j)] &= ~bits::bit(j);
-      }
-    });
   }
   diagonal_ = (diagonal_ + 1) % n_;
 }

@@ -38,19 +38,14 @@ class WavefrontAllocator final : public Allocator {
   /// Currently active starting diagonal (exposed for tests).
   std::size_t diagonal() const { return diagonal_; }
 
-  /// Computes the wavefront matching for a fixed starting diagonal without
-  /// touching state (byte-loop reference). Used by tests and by the
-  /// multi-iteration wrapper.
-  static void allocate_from_diagonal(const BitMatrix& req, std::size_t start,
-                                     BitMatrix& gnt);
-
   /// One requested (row, column) cell on the sparse fast path.
   struct SparseCell {
     std::uint32_t row = 0;
     std::uint32_t col = 0;
   };
 
-  /// Sparse single-call equivalent of one allocate() cycle: the request
+  /// Sparse single-call equivalent of one allocate() cycle (the word kernel
+  /// every simulation runs; allocate() is its byte-loop oracle): the request
   /// matrix is given as its set cells (any order, rows/cols < n, no
   /// duplicates), the granted cells are appended to `granted`, and the
   /// starting diagonal advances exactly as allocate() would -- including for
@@ -73,12 +68,12 @@ class WavefrontAllocator final : public Allocator {
  private:
   std::size_t n_;  // padded square dimension
   std::size_t diagonal_ = 0;
-  // Mask-path scratch, reused across allocate() calls so the per-cycle fast
-  // path performs no heap allocations.
+  // Sparse-path scratch, reused across calls so the per-cycle path performs
+  // no heap allocations: packed free-row / free-column masks, per-wave cell
+  // counts (zeroed after use via the touched-wave bitmap), bucket write
+  // cursors, and the wave-sorted cells.
   std::vector<bits::Word> row_free_;
   std::vector<bits::Word> col_free_;
-  // Sparse-path scratch: per-wave cell counts (zeroed after use via the
-  // touched-wave bitmap), bucket write cursors, and the wave-sorted cells.
   std::vector<std::uint32_t> wave_cnt_;
   std::vector<std::uint32_t> wave_off_;
   std::vector<bits::Word> wave_occ_;

@@ -29,15 +29,6 @@ int MatrixArbiter::pick(const ReqVector& req) const {
   return winner;
 }
 
-int MatrixArbiter::pick_words(const bits::Word* req) const {
-  int winner = -1;
-  std::uint32_t best = kNoRank;
-  for (std::size_t w = 0; w < bits::word_count(rank_.size()); ++w) {
-    scan_word(req[w], w * bits::kWordBits, winner, best);
-  }
-  return winner;
-}
-
 void MatrixArbiter::update(int winner) {
   NOCALLOC_CHECK(winner >= 0 &&
                  static_cast<std::size_t>(winner) < rank_.size());

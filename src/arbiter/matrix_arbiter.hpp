@@ -27,7 +27,6 @@ class MatrixArbiter final : public Arbiter {
 
   std::size_t size() const override { return rank_.size(); }
   int pick(const ReqVector& req) const override;
-  int pick_words(const bits::Word* req) const override;
   void update(int winner) override;
   void reset() override;
   void save_state(StateWriter& w) const override {
@@ -45,36 +44,29 @@ class MatrixArbiter final : public Arbiter {
     return rank_[i] < rank_[j];
   }
 
-  /// Single-word pick with pick_words() semantics for arbiters of width
-  /// <= 64: the requester with the lowest rank. The router's sparse
-  /// kernels use this as the packed least-recently-served selection,
-  /// skipping virtual dispatch and the multi-word scan.
+  /// Single-word pick for arbiters of width <= 64, the same winner as
+  /// pick() on the equivalent byte vector: the requester with the lowest
+  /// rank. The allocators' word kernels use this (through FastArb) as the
+  /// packed least-recently-served selection, skipping virtual dispatch and
+  /// the byte loop.
   int pick_word(bits::Word req) const {
     NOCALLOC_DCHECK(rank_.size() <= bits::kWordBits);
     int winner = -1;
     std::uint32_t best = kNoRank;
-    scan_word(req, 0, winner, best);
-    return winner;
-  }
-
- private:
-  using Rank = std::uint16_t;
-  static constexpr std::uint32_t kNoRank = 0x10000;  // above every Rank
-
-  // Moves (winner, best) to the lowest-ranked requester of `req`, whose
-  // bit 0 is input `base`, if it ranks below `best`.
-  void scan_word(bits::Word req, std::size_t base, int& winner,
-                 std::uint32_t& best) const {
     while (req != 0) {
-      const std::size_t i =
-          base + static_cast<std::size_t>(std::countr_zero(req));
+      const auto i = static_cast<std::size_t>(std::countr_zero(req));
       req &= req - 1;
       if (rank_[i] < best) {
         best = rank_[i];
         winner = static_cast<int>(i);
       }
     }
+    return winner;
   }
+
+ private:
+  using Rank = std::uint16_t;
+  static constexpr std::uint32_t kNoRank = 0x10000;  // above every Rank
 
   // rank_[i] is input i's position in the recency order: 0 is served next,
   // size()-1 was served last. Always a permutation of 0..size()-1.

@@ -2,15 +2,15 @@
 //
 // Rows correspond to requesters (allocator inputs) and columns to resources
 // (allocator outputs). Each row is packed into 64-bit words (bit c of word w
-// is column w * 64 + c), so the allocators' inner loops collapse into a few
-// AND/CTZ/POPCNT steps per row instead of per-element byte scans: an entire
-// 160-wide request row is three words. Unused high bits of each row's last
-// word are always zero, which keeps whole-object comparison and subset tests
-// plain word loops.
+// is column w * 64 + c), so row counts, scans and the maximum-size matcher's
+// adjacency build are a few CTZ/POPCNT steps per row instead of
+// per-element byte scans: an entire 160-wide request row is three words.
+// Unused high bits of each row's last word are always zero, which keeps
+// whole-object comparison and subset tests plain word loops.
 //
-// Per-element get/set remain for the reference (oracle) allocator paths and
-// for cold callers; their bounds checks are NOCALLOC_DCHECKs so optimized
-// builds pay nothing for them inside hot loops.
+// Per-element get/set serve the byte-loop allocators and cold callers;
+// their bounds checks are NOCALLOC_DCHECKs so optimized builds pay nothing
+// for them inside hot loops.
 #pragma once
 
 #include <cstddef>

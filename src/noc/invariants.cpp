@@ -301,7 +301,7 @@ void InvariantChecker::check_router_state(const Router& router, Cycle now) {
 
   // Output VC ownership: exactly the allocated output VCs must be held, each
   // by exactly one active input VC.
-  std::vector<int> owners(ports * vcs, 0);
+  owners_.assign(ports * vcs, 0);
 
   for (std::size_t p = 0; p < ports; ++p) {
     for (std::size_t v = 0; v < vcs; ++v) {
@@ -345,7 +345,7 @@ void InvariantChecker::check_router_state(const Router& router, Cycle now) {
             violation("vc-state",
                       "active input VC has no valid output VC/route");
           } else {
-            ++owners[static_cast<std::size_t>(ivc.route.out_port) * vcs +
+            ++owners_[static_cast<std::size_t>(ivc.route.out_port) * vcs +
                      static_cast<std::size_t>(ivc.out_vc)];
           }
           break;
@@ -365,7 +365,7 @@ void InvariantChecker::check_router_state(const Router& router, Cycle now) {
                   "output VC holds " + std::to_string(ovc.credits) +
                       " credits with buffer depth " + std::to_string(depth));
       }
-      const int holders = owners[p * vcs + v];
+      const int holders = owners_[p * vcs + v];
       if (ovc.allocated && holders != 1) {
         violation("vc-ownership",
                   "allocated output VC is held by " +

@@ -180,6 +180,8 @@ class InvariantChecker {
   std::uint64_t last_progress_signature_ = 0;
   // on_vc_alloc() scratch: output VCs granted so far this call.
   std::vector<bits::Word> granted_out_;
+  // check_router_state() scratch: active input VCs holding each output VC.
+  std::vector<int> owners_;
 };
 
 }  // namespace nocalloc::noc

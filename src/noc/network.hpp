@@ -119,7 +119,7 @@ class Network final : public CongestionOracle {
   std::uint64_t flits_ejected() const;
 
   /// Puts every router's allocators on their byte-loop reference path (see
-  /// Allocator::set_reference_path): the word entry points then expand
+  /// VcAllocator::set_reference_path): the word entry points then expand
   /// their words and run the oracles. Results are bit-identical either way;
   /// benches time the two side by side.
   void set_reference_path(bool ref);

@@ -113,7 +113,7 @@ class Router {
   void allocate(Cycle now);
 
   /// Puts every allocator of this router on its byte-loop reference path
-  /// (see Allocator::set_reference_path); allocate() then also runs every
+  /// (see VcAllocator::set_reference_path); allocate() then also runs every
   /// stage of a non-empty cycle instead of skipping empty ones. Results are
   /// bit-identical either way, and the two may alternate between cycles.
   void set_reference_path(bool ref);

@@ -24,10 +24,6 @@ class SaWavefront final : public SwitchAllocator {
   void advance_priority(std::uint64_t cycles) override {
     core_.advance_priority(cycles);
   }
-  void set_reference_path(bool ref) override {
-    SwitchAllocator::set_reference_path(ref);
-    core_.set_reference_path(ref);
-  }
   void save_state(StateWriter& w) const override {
     core_.save_state(w);
     for (const auto& a : presel_) a->save_state(w);
@@ -47,7 +43,11 @@ class SaWavefront final : public SwitchAllocator {
   void init_fast();
 
   WavefrontAllocator core_;
-  std::vector<bits::Word> vc_req_;  // mask-path scratch
+  // allocate() scratch, reused across calls: the P x P union request and
+  // grant matrices and one pre-selection request vector.
+  BitMatrix ports_req_;
+  BitMatrix ports_gnt_;
+  ReqVector presel_req_;
   // presel_[p * P + o]: V:1 arbiter pre-selecting the VC used when input
   // port p is granted output port o.
   std::vector<std::unique_ptr<Arbiter>> presel_;

@@ -43,7 +43,8 @@ class SwitchAllocator {
   /// Performs one cycle of switch allocation. `req` has one entry per input
   /// VC (global index port * V + vc); `grant` receives one entry per input
   /// port. Grants form a valid port matching and each winning VC is one that
-  /// requested the granted output.
+  /// requested the granted output. Every architecture implements this as
+  /// its byte-loop oracle; the router runs allocate_fast().
   virtual void allocate(const std::vector<SwitchRequest>& req,
                         std::vector<SwitchGrant>& grant) = 0;
 
@@ -73,9 +74,10 @@ class SwitchAllocator {
     static_cast<void>(cycles);
   }
 
-  /// Selects the byte-loop reference implementation over the word-parallel
-  /// fast path; see Allocator::set_reference_path for the contract.
-  virtual void set_reference_path(bool ref) { reference_path_ = ref; }
+  /// Sends allocate_fast() through the word-to-vector adapter into the
+  /// byte-loop oracle allocate() instead of the word kernel; see
+  /// VcAllocator::set_reference_path for the contract.
+  void set_reference_path(bool ref) { reference_path_ = ref; }
   bool reference_path() const { return reference_path_; }
 
   /// Serializes / restores priority state for warm snapshot/restore; see

@@ -54,7 +54,8 @@ class VcAllocator {
   /// (global index port * V + vc). On return, `grant[i]` holds the granted
   /// global output VC for input VC i, or -1. The result is a matching: no
   /// output VC is granted twice and each input VC receives at most one VC
-  /// from its candidate mask.
+  /// from its candidate mask. Every architecture implements this as its
+  /// byte-loop oracle; the router runs allocate_fast().
   virtual void allocate(const std::vector<VcRequest>& req,
                         std::vector<int>& grant) = 0;
 
@@ -87,9 +88,14 @@ class VcAllocator {
     static_cast<void>(cycles);
   }
 
-  /// Selects the byte-loop reference implementation over the word-parallel
-  /// fast path; see Allocator::set_reference_path for the contract.
-  virtual void set_reference_path(bool ref) {
+  /// Selects the reference path: allocate_fast() then expands the words
+  /// through the word-to-vector adapter and runs the byte-loop oracle
+  /// allocate() instead of the architecture's word kernel (maximum-size
+  /// also switches its matcher to the byte-scan adjacency build). Both
+  /// paths produce identical grants and identical priority-state evolution
+  /// -- tests/test_word_kernels diffs them over every paper design point --
+  /// and the reference path is not meant for production sweeps.
+  void set_reference_path(bool ref) {
     reference_path_ = ref;
     if (ref) reserve_adapter();
   }

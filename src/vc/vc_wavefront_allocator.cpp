@@ -45,7 +45,7 @@ void VcWavefrontAllocator::allocate_words(const FastVcRequest* req,
   // Scatter requests into their message class's block as (row, column)
   // cells. A request only ever appears as a row of the block holding its
   // input VC, and candidate bits outside that block are ignored -- exactly
-  // the dense path's per-block matrix build.
+  // the oracle's per-block matrix build (allocate_block).
   for (std::size_t k = 0; k < n; ++k) {
     bits::Word mask = req[k].vc_mask;
     if (mask == 0) continue;
@@ -68,7 +68,7 @@ void VcWavefrontAllocator::allocate_words(const FastVcRequest* req,
   }
 
   // Every core runs every cycle (empty or not), so all diagonals rotate in
-  // lock-step with the dense path.
+  // lock-step with allocate().
   for (std::size_t m = 0; m < cores_.size(); ++m) {
     const std::size_t vc_lo = m * span;
     fast_granted_.clear();
@@ -94,7 +94,7 @@ void VcWavefrontAllocator::allocate_block(const std::vector<VcRequest>& req,
 
   // Build the block-local request matrix. Block-local index of (port, vc)
   // is port * width + (vc - vc_lo).
-  BitMatrix block_req(n, n);
+  block_req_.resize(n, n);
   for (std::size_t p = 0; p < ports(); ++p) {
     for (std::size_t v = vc_lo; v < vc_hi; ++v) {
       const VcRequest& r = req[p * vcs() + v];
@@ -103,18 +103,17 @@ void VcWavefrontAllocator::allocate_block(const std::vector<VcRequest>& req,
       const std::size_t out_base =
           static_cast<std::size_t>(r.out_port) * width;
       for (std::size_t w = vc_lo; w < vc_hi; ++w) {
-        if (r.vc_mask[w]) block_req.set(row, out_base + (w - vc_lo));
+        if (r.vc_mask[w]) block_req_.set(row, out_base + (w - vc_lo));
       }
     }
   }
 
-  BitMatrix block_gnt;
-  core.allocate(block_req, block_gnt);
+  core.allocate(block_req_, block_gnt_);
 
   for (std::size_t p = 0; p < ports(); ++p) {
     for (std::size_t v = vc_lo; v < vc_hi; ++v) {
       const std::size_t row = p * width + (v - vc_lo);
-      const int col = block_gnt.row_single(row);
+      const int col = block_gnt_.row_single(row);
       if (col < 0) continue;
       const std::size_t out_port = static_cast<std::size_t>(col) / width;
       const std::size_t out_vc = vc_lo + static_cast<std::size_t>(col) % width;

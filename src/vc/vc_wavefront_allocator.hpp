@@ -30,10 +30,6 @@ class VcWavefrontAllocator final : public VcAllocator {
   void advance_priority(std::uint64_t cycles) override {
     for (auto& c : cores_) c->advance_priority(cycles);
   }
-  void set_reference_path(bool ref) override {
-    VcAllocator::set_reference_path(ref);
-    for (auto& c : cores_) c->set_reference_path(ref);
-  }
   void save_state(StateWriter& w) const override {
     for (const auto& c : cores_) c->save_state(w);
   }
@@ -62,6 +58,10 @@ class VcWavefrontAllocator final : public VcAllocator {
   bool sparse_;
   // One core when dense; one per message class when sparse.
   std::vector<std::unique_ptr<WavefrontAllocator>> cores_;
+  // allocate_block() scratch, reused across blocks and calls (every block
+  // has the same shape).
+  BitMatrix block_req_;
+  BitMatrix block_gnt_;
   // Word-kernel scratch: per-core request cells and the shared granted list.
   std::vector<std::vector<WavefrontAllocator::SparseCell>> fast_cells_;
   std::vector<WavefrontAllocator::SparseCell> fast_granted_;

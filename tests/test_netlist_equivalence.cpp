@@ -1,6 +1,11 @@
 // Functional equivalence between the generated gate-level netlists and the
 // behavioural allocator models -- the reproduction's substitute for RTL
-// simulation of the paper's Verilog.
+// simulation of the paper's Verilog. The arbiters are compared against
+// their byte pick(); every allocator netlist is compared against the word
+// kernel the simulations and quality sweeps run (the wavefront core's
+// allocate_sparse, the VC / switch allocators' allocate_fast), so the
+// netlists whose cost Figs. 5/6/10/11 report are tied to the code that
+// produces the network and quality figures.
 //
 // Stimulus is driven in 64-wide batches through the compiled bit-parallel
 // engine (hw/netlist_program.hpp): lane v of every word is an independent
@@ -164,7 +169,24 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Wavefront block: multi-cycle equivalence including diagonal rotation.
+// Wavefront block: multi-cycle equivalence including diagonal rotation,
+// against the sparse kernel every wavefront VC / switch allocator runs.
+
+using Cell = WavefrontAllocator::SparseCell;
+
+Cell cell(std::size_t i, std::size_t j) {
+  return {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j)};
+}
+
+/// One allocate_sparse() cycle of `core` on `cells`, as an n x n grant
+/// matrix.
+void allocate_cells(WavefrontAllocator& core, const std::vector<Cell>& cells,
+                    std::size_t n, BitMatrix& gnt) {
+  std::vector<Cell> granted;
+  core.allocate_sparse(cells.data(), cells.size(), granted);
+  gnt.resize(n, n);
+  for (const Cell& c : granted) gnt.set(c.row, c.col);
+}
 
 TEST(WavefrontEquivalence, MatchesBehaviouralModelOverManyCycles) {
   constexpr std::size_t kN = 6;
@@ -186,14 +208,15 @@ TEST(WavefrontEquivalence, MatchesBehaviouralModelOverManyCycles) {
   }
 
   std::vector<std::vector<bool>> rows(kLanes, std::vector<bool>(kN * kN));
-  std::vector<BitMatrix> reqs(kLanes, BitMatrix(kN, kN));
+  std::vector<std::vector<Cell>> cells(kLanes);
   BitMatrix expected;
   for (int cycle = 0; cycle < 40; ++cycle) {
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      cells[lane].clear();
       for (std::size_t i = 0; i < kN; ++i) {
         for (std::size_t j = 0; j < kN; ++j) {
           const bool bit = rng[lane].next_bool(0.4);
-          reqs[lane].set(i, j, bit);
+          if (bit) cells[lane].push_back(cell(i, j));
           rows[lane][i * kN + j] = bit;
         }
       }
@@ -201,7 +224,7 @@ TEST(WavefrontEquivalence, MatchesBehaviouralModelOverManyCycles) {
     const std::vector<std::uint64_t>& gnt = hw.step(pack_lanes(rows, kN * kN));
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
       const std::uint64_t bit = 1ull << lane;
-      sw[lane].allocate(reqs[lane], expected);
+      allocate_cells(sw[lane], cells[lane], kN, expected);
       for (std::size_t i = 0; i < kN; ++i) {
         for (std::size_t j = 0; j < kN; ++j) {
           ASSERT_EQ((gnt[i * kN + j] & bit) != 0, expected.get(i, j))
@@ -243,17 +266,17 @@ TEST(WavefrontEquivalence, SparseBlockMatchesWithTrimmedTiles) {
   }
 
   std::vector<std::vector<bool>> rows(kLanes, std::vector<bool>(present));
-  std::vector<BitMatrix> reqs(kLanes, BitMatrix(kN, kN));
+  std::vector<std::vector<Cell>> cells(kLanes);
   BitMatrix expected;
   for (int cycle = 0; cycle < 32; ++cycle) {
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      reqs[lane].clear();
+      cells[lane].clear();
       std::size_t k = 0;
       for (std::size_t i = 0; i < kN; ++i) {
         for (std::size_t j = 0; j < kN; ++j) {
           if ((i + j) % 2 != 0) continue;
           const bool bit = rng[lane].next_bool(0.5);
-          reqs[lane].set(i, j, bit);
+          if (bit) cells[lane].push_back(cell(i, j));
           rows[lane][k++] = bit;
         }
       }
@@ -261,7 +284,7 @@ TEST(WavefrontEquivalence, SparseBlockMatchesWithTrimmedTiles) {
     const std::vector<std::uint64_t>& gnt = hw.step(pack_lanes(rows, present));
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
       const std::uint64_t bit = 1ull << lane;
-      sw[lane].allocate(reqs[lane], expected);
+      allocate_cells(sw[lane], cells[lane], kN, expected);
       std::size_t out_idx = 0;
       for (std::size_t i = 0; i < kN; ++i) {
         for (std::size_t j = 0; j < kN; ++j) {
@@ -278,8 +301,8 @@ TEST(WavefrontEquivalence, SparseBlockMatchesWithTrimmedTiles) {
 // ---------------------------------------------------------------------------
 // Switch allocators: single-cycle (fresh-state) equivalence. Enables are
 // free inputs on the netlist side and stay 0, so the circuit's priority
-// state never advances; each lane is compared against a fresh behavioural
-// instance.
+// state never advances; each lane is compared against the word kernel
+// (allocate_fast) of a fresh behavioural instance.
 
 /// Packs one request block in make_request_inputs order: per port, V valid
 /// bits, then per VC a P-wide destination one-hot.
@@ -307,6 +330,25 @@ std::vector<SwitchRequest> random_sa_requests(std::size_t ports,
     r.out_port = r.valid ? static_cast<int>(rng.next_below(ports)) : -1;
   }
   return req;
+}
+
+/// One request block in allocate_fast() form: per input port the
+/// requesting-VC word, per input VC the requested output port.
+struct SaWords {
+  std::vector<bits::Word> vc_words;
+  std::vector<std::uint8_t> out_ports;
+};
+
+SaWords sa_words(const std::vector<SwitchRequest>& req, std::size_t ports,
+                 std::size_t vcs) {
+  SaWords w{std::vector<bits::Word>(ports, 0),
+            std::vector<std::uint8_t>(ports * vcs, 0)};
+  for (std::size_t i = 0; i < ports * vcs; ++i) {
+    if (!req[i].valid) continue;
+    w.vc_words[i / vcs] |= bits::bit(i % vcs);
+    w.out_ports[i] = static_cast<std::uint8_t>(req[i].out_port);
+  }
+  return w;
 }
 
 struct SaEquivParam {
@@ -348,7 +390,8 @@ TEST_P(SaEquivalenceTest, NetlistMatchesBehaviouralAllocator) {
       // netlist whose enables are held low.
       auto sw = make_switch_allocator(
           {p.ports, p.vcs, p.kind, ArbiterKind::kRoundRobin});
-      sw->allocate(req[lane], expected);
+      const SaWords w = sa_words(req[lane], p.ports, p.vcs);
+      sw->allocate_fast(w.vc_words.data(), w.out_ports.data(), expected);
 
       // Output order: P x P crossbar matrix, then per-port winning VC.
       std::size_t k = 0;
@@ -393,7 +436,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Speculative switch allocator netlist vs behavioural wrapper.
+// Speculative switch allocator netlist vs the behavioural wrapper's word
+// entry point (allocate_fast, single cycle from fresh state).
 
 TEST(SpecSaEquivalence, MaskedSpecGrantsMatchBehaviouralWrapper) {
   constexpr std::size_t kP = 5, kV = 2;
@@ -429,7 +473,10 @@ TEST(SpecSaEquivalence, MaskedSpecGrantsMatchBehaviouralWrapper) {
         SwitchAllocatorConfig base{kP, kV, cfg.kind, cfg.arb};
         SpeculativeSwitchAllocator sw(base, mode);
         std::vector<SpecSwitchGrant> expected;
-        sw.allocate(nonspec[lane], spec[lane], expected);
+        const SaWords ns = sa_words(nonspec[lane], kP, kV);
+        const SaWords sp = sa_words(spec[lane], kP, kV);
+        sw.allocate_fast(ns.vc_words.data(), ns.out_ports.data(),
+                         sp.vc_words.data(), sp.out_ports.data(), expected);
 
         // Output order: nonspec xbar (PxP), nonspec vc_gnt (PxV), masked
         // spec xbar (PxP), spec vc_gnt (PxV).
@@ -460,7 +507,8 @@ TEST(SpecSaEquivalence, MaskedSpecGrantsMatchBehaviouralWrapper) {
 }
 
 // ---------------------------------------------------------------------------
-// VC allocators: single-cycle equivalence, dense and sparse.
+// VC allocators: single-cycle equivalence against a fresh instance's word
+// kernel (allocate_fast), dense and sparse.
 
 struct VcEquivParam {
   AllocatorKind kind;
@@ -563,15 +611,26 @@ TEST_P(VcEquivalenceTest, NetlistMatchesBehaviouralAllocator) {
 
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
       const std::uint64_t bit = 1ull << lane;
-      // Behavioural reference on fresh state.
+      // Behavioural word kernel on fresh state; requests ascend by input VC.
       VcAllocatorConfig sw_cfg;
       sw_cfg.ports = p.ports;
       sw_cfg.partition = part;
       sw_cfg.kind = p.kind;
       sw_cfg.sparse = p.sparse;
       auto sw = make_vc_allocator(sw_cfg);
-      std::vector<int> expected;
-      sw->allocate(req[lane], expected);
+      std::vector<FastVcRequest> words;
+      for (std::size_t i = 0; i < total; ++i) {
+        const VcRequest& r = req[lane][i];
+        if (!r.valid) continue;
+        bits::Word mask = 0;
+        for (std::size_t w = 0; w < V; ++w) {
+          if (r.vc_mask[w]) mask |= bits::bit(w);
+        }
+        words.push_back({static_cast<std::uint32_t>(i),
+                         static_cast<std::uint32_t>(r.out_port), mask});
+      }
+      std::vector<int> expected(total, -1);
+      sw->allocate_fast(words.data(), words.size(), expected);
 
       // Decode: per input VC, one output bit per candidate.
       std::size_t o = 0;
